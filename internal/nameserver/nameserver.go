@@ -160,6 +160,17 @@ func (ns *NameServer) ServerAddr(index int) (string, error) {
 	return addr, nil
 }
 
+// ServerKey resolves a server index to its verification key.
+func (ns *NameServer) ServerKey(index int) (ed25519.PublicKey, error) {
+	ns.mu.RLock()
+	defer ns.mu.RUnlock()
+	s, ok := ns.servers[index]
+	if !ok {
+		return nil, fmt.Errorf("server %d: %w", index, ErrNotFound)
+	}
+	return s.PublicKey, nil
+}
+
 // ServerIndices returns all registered server indices in ascending order.
 func (ns *NameServer) ServerIndices() []int {
 	ns.mu.RLock()

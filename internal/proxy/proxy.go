@@ -14,6 +14,23 @@
 // probe with the wrong key crashes it, with the right key compromises it —
 // after which the attacker can use RawForward as a launch pad for direct
 // attacks on servers (§4, S2 compromise route 2).
+//
+// # Acceptance rules
+//
+// A proxy over-signs one server reply per request: the first to arrive that
+// is signed by the server it dialled, under that server's index, for the
+// request id it forwarded. It verifies replies in arrival order and stops at
+// that one, but answers the client only once every server has replied,
+// failed or timed out, so a crash on any of them is in the Detector before
+// the reply leaves. A client accepts the first reply to arrive that carries
+// two authentic signatures over its own request id, verifying in arrival
+// order and falling through to the next proxy's reply when one fails. The
+// ids and index compared are the signed ones: the envelope is not signed.
+//
+// With s servers and p proxies a fault-free request costs the tier p
+// verifies and p over-signatures and the client 2 verifies (package sig
+// gives the whole budget); each forged reply that arrives before an
+// authentic one costs its verifier one more.
 package proxy
 
 import (
@@ -351,18 +368,15 @@ func (p *Proxy) handleProxyProbe(conn *netsim.Conn, m clientMsg) bool {
 
 // forward relays the request to every server of the owning replica group
 // (every server outright when unsharded), over-signs the first authentic
-// response and returns it to the client (§3).
+// response and returns it to the client (§3). Replies are checked in arrival
+// order and only until one is authentic, but the client is answered after
+// every server's outcome is in, so a crash observed on any of them reaches
+// the detector before the reply leaves.
 func (p *Proxy) forward(conn *netsim.Conn, source string, m clientMsg) {
-	view := p.cfg.NS.ClientSnapshot()
-	serverKeys := make(map[int][]byte, len(view.Servers))
-	for _, s := range view.Servers {
-		serverKeys[s.Index] = s.PublicKey
-	}
-
 	type outcome struct {
-		resp    sig.ServerResponse
-		invalid bool
-		ok      bool
+		idx  int
+		resp sig.ServerResponse
+		err  error
 	}
 	indices := p.cfg.NS.ServerIndices()
 	if r := p.cfg.Ring; r != nil && r.Groups() > 1 {
@@ -383,26 +397,14 @@ func (p *Proxy) forward(conn *netsim.Conn, source string, m clientMsg) {
 	for _, idx := range indices {
 		addr, err := p.cfg.NS.ServerAddr(idx)
 		if err != nil {
-			results <- outcome{}
+			results <- outcome{idx: idx, err: err}
 			continue
 		}
 		p.done.Add(1)
 		go func(idx int, addr string) {
 			defer p.done.Done()
 			resp, err := pb.RequestTagged(p.cfg.Net, p.cfg.Addr, addr, m.RequestID, m.Body, m.Read, p.cfg.ServerTimeout)
-			if err != nil {
-				// Connection refused/closed without a response: the server
-				// process crashed under this request — exactly the
-				// observation that marks a probe (§2.2).
-				results <- outcome{invalid: errors.Is(err, netsim.ErrClosed) || errors.Is(err, netsim.ErrRefused)}
-				return
-			}
-			pk, ok := serverKeys[idx]
-			if !ok || sig.VerifyServerResponse(pk, resp) != nil {
-				results <- outcome{}
-				return
-			}
-			results <- outcome{resp: resp, ok: true}
+			results <- outcome{idx: idx, resp: resp, err: err}
 		}(idx, addr)
 	}
 
@@ -410,12 +412,16 @@ func (p *Proxy) forward(conn *netsim.Conn, source string, m clientMsg) {
 	sawInvalid := false
 	for range indices {
 		o := <-results
-		if o.ok && first == nil {
-			r := o.resp
-			first = &r
-		}
-		if o.invalid {
-			sawInvalid = true
+		switch {
+		case o.err != nil:
+			// Connection refused/closed without a response: the server
+			// process crashed under this request — exactly the
+			// observation that marks a probe (§2.2).
+			if errors.Is(o.err, netsim.ErrClosed) || errors.Is(o.err, netsim.ErrRefused) {
+				sawInvalid = true
+			}
+		case first == nil && p.authentic(o.idx, m.RequestID, o.resp):
+			first = &o.resp
 		}
 	}
 	if sawInvalid {
@@ -432,6 +438,14 @@ func (p *Proxy) forward(conn *netsim.Conn, source string, m clientMsg) {
 		return
 	}
 	_ = conn.Send(encode(clientMsg{Type: msgResponse, RequestID: m.RequestID, Signed: &signed}))
+}
+
+// authentic reports whether resp is server idx's own signed answer to
+// requestID, so an old response replayed under a new id, or another
+// server's response, is never over-signed.
+func (p *Proxy) authentic(idx int, requestID string, resp sig.ServerResponse) bool {
+	pk, err := p.cfg.NS.ServerKey(idx)
+	return err == nil && sig.VerifyAnswer(pk, resp, requestID, idx) == nil
 }
 
 // routeGroup maps a request body to its owning replica group: the ring
@@ -525,23 +539,29 @@ func (c *Client) InvokeRead(requestID string, body []byte) ([]byte, error) {
 	return c.invoke(requestID, body, true)
 }
 
+// invoke asks every proxy and checks the replies in arrival order, stopping
+// at the first that carries two authentic signatures over this request; a
+// reply that fails, or a proxy that does, falls through to the next.
 func (c *Client) invoke(requestID string, body []byte, read bool) ([]byte, error) {
 	type result struct {
-		body []byte
-		err  error
+		signed sig.DoublySigned
+		err    error
 	}
 	results := make(chan result, len(c.view.Proxies))
 	for _, pr := range c.view.Proxies {
 		go func(pr nameserver.ProxyRecord) {
-			b, err := c.invokeVia(pr, requestID, body, read)
-			results <- result{b, err}
+			d, err := c.invokeVia(pr, requestID, body, read)
+			results <- result{d, err}
 		}(pr)
 	}
 	var firstErr error
 	for range c.view.Proxies {
 		r := <-results
 		if r.err == nil {
-			return r.body, nil
+			r.err = c.accept(requestID, r.signed)
+		}
+		if r.err == nil {
+			return r.signed.Response.Body, nil
 		}
 		if firstErr == nil {
 			firstErr = r.err
@@ -550,24 +570,36 @@ func (c *Client) invoke(requestID string, body []byte, read bool) ([]byte, error
 	return nil, fmt.Errorf("proxy: all proxies failed: %w", firstErr)
 }
 
-func (c *Client) invokeVia(pr nameserver.ProxyRecord, requestID string, body []byte, read bool) ([]byte, error) {
+// accept is the client's acceptance rule (§3): two authentic signatures,
+// over a response to the request this client made. The request id compared
+// is the signed one; the envelope's is not covered by either signature.
+func (c *Client) accept(requestID string, d sig.DoublySigned) error {
+	if d.Response.RequestID != requestID {
+		return fmt.Errorf("proxy: response signed for request %q, not %q", d.Response.RequestID, requestID)
+	}
+	return c.verifier.VerifyDoublySigned(d)
+}
+
+// invokeVia sends the request to one proxy and returns its doubly-signed
+// reply unverified.
+func (c *Client) invokeVia(pr nameserver.ProxyRecord, requestID string, body []byte, read bool) (sig.DoublySigned, error) {
 	conn, err := c.net.Dial(c.from, pr.Addr)
 	if err != nil {
-		return nil, err
+		return sig.DoublySigned{}, err
 	}
 	defer conn.Close()
 	if err := conn.Send(encode(clientMsg{Type: msgRequest, RequestID: requestID, Body: body, Read: read})); err != nil {
-		return nil, err
+		return sig.DoublySigned{}, err
 	}
 	deadline := time.Now().Add(c.timeout)
 	for {
 		remaining := time.Until(deadline)
 		if remaining <= 0 {
-			return nil, netsim.ErrTimeout
+			return sig.DoublySigned{}, netsim.ErrTimeout
 		}
 		raw, err := conn.RecvTimeout(remaining)
 		if err != nil {
-			return nil, err
+			return sig.DoublySigned{}, err
 		}
 		var m clientMsg
 		uerr := json.Unmarshal(raw, &m)
@@ -581,14 +613,11 @@ func (c *Client) invokeVia(pr nameserver.ProxyRecord, requestID string, body []b
 		switch m.Type {
 		case msgResponse:
 			if m.Signed == nil {
-				return nil, errors.New("proxy: response without signatures")
+				return sig.DoublySigned{}, errors.New("proxy: response without signatures")
 			}
-			if err := c.verifier.VerifyDoublySigned(*m.Signed); err != nil {
-				return nil, err
-			}
-			return m.Signed.Response.Body, nil
+			return *m.Signed, nil
 		case msgError:
-			return nil, fmt.Errorf("proxy: %s", m.Reason)
+			return sig.DoublySigned{}, fmt.Errorf("proxy: %s", m.Reason)
 		}
 	}
 }

@@ -230,7 +230,9 @@ func TestProxyHidesServerCrashOracle(t *testing.T) {
 	if err := conn.Send(encode(clientMsg{Type: msgRequest, RequestID: "p1", Body: probe})); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := conn.RecvTimeout(srvTimeout)
+	// Longer than the proxy waits for a server: a backup may park the probe
+	// of a primary that crashed under it for the whole ServerTimeout.
+	raw, err := conn.RecvTimeout(2 * srvTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,17 +261,27 @@ func TestDetectorBlocksProbingClient(t *testing.T) {
 	}
 	defer conn.Close()
 
+	// Blocked means the proxy said so or hung up. The test's own receive
+	// timing out is neither, so it waits longer than the proxy waits for a
+	// server: a probe's reply can take the whole ServerTimeout when a backup
+	// parks the request of a primary that crashed under it.
 	wrong := uint64(r.serverKey)
 	blocked := false
 	for i := 0; i < 10 && !blocked; i++ {
 		wrong = (wrong + 1) % r.space.Chi()
 		probe := exploit.NewPayload(exploit.TierServer, keyspace.Key(wrong))
 		if err := conn.Send(encode(clientMsg{Type: msgRequest, RequestID: fmt.Sprintf("p%d", i), Body: probe})); err != nil {
+			if !errors.Is(err, netsim.ErrClosed) {
+				t.Fatalf("probe %d send: %v", i, err)
+			}
 			blocked = true
 			break
 		}
-		raw, err := conn.RecvTimeout(srvTimeout)
+		raw, err := conn.RecvTimeout(2 * srvTimeout)
 		if err != nil {
+			if !errors.Is(err, netsim.ErrClosed) {
+				t.Fatalf("probe %d recv: %v", i, err)
+			}
 			blocked = true
 			break
 		}
@@ -277,7 +289,7 @@ func TestDetectorBlocksProbingClient(t *testing.T) {
 		if err := jsonUnmarshal(raw, &m); err != nil {
 			continue
 		}
-		if m.Type == msgError && strings.Contains(m.Reason, "blocked") {
+		if m.Type == msgError && m.Reason == ErrBlocked.Error() {
 			blocked = true
 		}
 	}

@@ -1336,39 +1336,26 @@ func NewClient(net *netsim.Network, from string, addrs map[int]string, pubKeys m
 }
 
 // Invoke sends the request to all replicas and returns the body agreed on
-// by at least f+1 of them, or ErrNoQuorum.
+// by at least f+1 of them, or ErrNoQuorum. Replies are verified in arrival
+// order and only until the vote is decided.
 func (c *Client) Invoke(requestID string, body []byte) ([]byte, error) {
 	type result struct {
+		idx  int
 		resp sig.ServerResponse
 		err  error
 	}
 	results := make(chan result, len(c.addrs))
-	var wg sync.WaitGroup
 	for idx, addr := range c.addrs {
-		wg.Add(1)
 		go func(idx int, addr string) {
-			defer wg.Done()
 			resp, err := request(c.net, fmt.Sprintf("%s-to-%d", c.from, idx), addr, requestID, body, c.timeout)
-			if err == nil {
-				if pk, ok := c.pubKeys[idx]; ok {
-					if verr := sig.VerifyServerResponse(pk, resp); verr != nil {
-						err = verr
-					} else if resp.ServerIndex != idx {
-						err = fmt.Errorf("smr: replica %d signed as %d", idx, resp.ServerIndex)
-					}
-				}
-			}
-			results <- result{resp, err}
+			results <- result{idx, resp, err}
 		}(idx, addr)
 	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
 
 	var responses []sig.ServerResponse
-	for res := range results {
-		if res.err != nil {
+	for range c.addrs {
+		res := <-results
+		if res.err != nil || c.verify(res.idx, requestID, res.resp) != nil {
 			continue
 		}
 		responses = append(responses, res.resp)
@@ -1376,10 +1363,18 @@ func (c *Client) Invoke(requestID string, body []byte) ([]byte, error) {
 			return body, nil
 		}
 	}
-	if body, err := Vote(responses, c.f); err == nil {
-		return body, nil
-	}
 	return nil, fmt.Errorf("%w (got %d verified responses)", ErrNoQuorum, len(responses))
+}
+
+// verify checks that resp is replica idx's own signed response to
+// requestID. A replica the client holds no key for is taken at its word, as
+// it always was.
+func (c *Client) verify(idx int, requestID string, resp sig.ServerResponse) error {
+	pk, ok := c.pubKeys[idx]
+	if !ok {
+		return nil
+	}
+	return sig.VerifyAnswer(pk, resp, requestID, idx)
 }
 
 // InvokeRead submits a read-tagged request to one replica at a time,
@@ -1408,10 +1403,8 @@ func (c *Client) InvokeRead(requestID string, body []byte) ([]byte, error) {
 		if err != nil {
 			continue
 		}
-		if pk, ok := c.pubKeys[idx]; ok {
-			if sig.VerifyServerResponse(pk, resp) != nil || resp.ServerIndex != idx {
-				continue
-			}
+		if c.verify(idx, requestID, resp) != nil {
+			continue
 		}
 		if leased {
 			return resp.Body, nil

@@ -1,7 +1,11 @@
 package sig
 
 import (
+	"bytes"
+	"crypto/ed25519"
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -21,6 +25,106 @@ func TestSignVerify(t *testing.T) {
 	s := k.Sign(msg)
 	if err := Verify(k.Public(), msg, s); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// memoUsed counts the occupied slots of k's signature memo.
+func memoUsed(k *KeyPair) int {
+	n := 0
+	for i := range k.memo {
+		e := &k.memo[i]
+		e.mu.Lock()
+		if e.used {
+			n++
+		}
+		e.mu.Unlock()
+	}
+	return n
+}
+
+func TestSignMemoMatchesFreshSignature(t *testing.T) {
+	k := pair(t)
+	for _, msg := range [][]byte{nil, []byte("m"), bytes.Repeat([]byte("long "), 1000)} {
+		want := ed25519.Sign(k.priv, msg)
+		before := Signs()
+		first, second := k.Sign(msg), k.Sign(msg)
+		if !bytes.Equal(first, want) || !bytes.Equal(second, want) {
+			t.Fatalf("Sign(%q...) differs from ed25519.Sign", msg[:min(len(msg), 8)])
+		}
+		if got := Signs() - before; got != 1 {
+			t.Fatalf("two Signs of one message computed %d signatures, want 1", got)
+		}
+	}
+}
+
+func TestSignMemoSurvivesCallerMutation(t *testing.T) {
+	k := pair(t)
+	msg := []byte("the reply every proxy asks for")
+	s := k.Sign(msg)
+	s[0] ^= 0xff // the caller owns what it was given
+	again := k.Sign(msg)
+	if err := Verify(k.Public(), msg, again); err != nil {
+		t.Fatalf("flipping a returned signature poisoned the memo: %v", err)
+	}
+	again[1] ^= 0xff // and so does a caller served from the memo
+	if err := Verify(k.Public(), msg, k.Sign(msg)); err != nil {
+		t.Fatalf("flipping a memoised signature poisoned the memo: %v", err)
+	}
+	// The caller's message buffer is not retained either.
+	msg[0] ^= 1
+	if err := Verify(k.Public(), msg, k.Sign(msg)); err != nil {
+		t.Fatalf("signature of the changed message is wrong: %v", err)
+	}
+}
+
+func TestSignMemoIsBounded(t *testing.T) {
+	k := pair(t)
+	for i := 0; i < 10*memoSlots; i++ {
+		msg := []byte(fmt.Sprintf("server-response\x00req-%d\x000\x00body", i))
+		if err := Verify(k.Public(), msg, k.Sign(msg)); err != nil {
+			t.Fatalf("message %d: %v", i, err)
+		}
+	}
+	if used := memoUsed(k); used > memoSlots || used < memoSlots/2 {
+		t.Fatalf("memo holds %d entries after %d distinct messages, want at most %d and most of them", used, 10*memoSlots, memoSlots)
+	}
+}
+
+func TestSignMemoConcurrent(t *testing.T) {
+	k := pair(t)
+	msg := []byte("one message, many askers")
+	want := ed25519.Sign(k.priv, msg)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if got := k.Sign(msg); !bytes.Equal(got, want) {
+					t.Errorf("goroutine %d: wrong signature", g)
+					return
+				}
+				// Churn the table under the shared message.
+				other := []byte(fmt.Sprintf("other-%d-%d", g, i))
+				if Verify(k.Public(), other, k.Sign(other)) != nil {
+					t.Errorf("goroutine %d: bad signature for %s", g, other)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+func TestVerifyCounts(t *testing.T) {
+	k := pair(t)
+	msg := []byte("m")
+	s := k.Sign(msg)
+	before := Verifies()
+	_ = Verify(k.Public(), msg, s)
+	_ = Verify(k.Public(), []byte("other"), s)
+	if got := Verifies() - before; got != 2 {
+		t.Fatalf("two Verify calls counted %d", got)
 	}
 }
 
@@ -74,6 +178,28 @@ func TestServerResponseBindsRequestID(t *testing.T) {
 	r.RequestID = "req-9" // replaying a response for a different request
 	if err := VerifyServerResponse(k.Public(), r); !errors.Is(err, ErrBadSignature) {
 		t.Fatalf("request-id swap not caught: %v", err)
+	}
+}
+
+func TestVerifyAnswer(t *testing.T) {
+	k := pair(t)
+	r := SignServerResponse(k, "req-1", []byte("result"), 2)
+	if err := VerifyAnswer(k.Public(), r, "req-1", 2); err != nil {
+		t.Fatal(err)
+	}
+	before := Verifies()
+	if err := VerifyAnswer(k.Public(), r, "req-2", 2); err == nil {
+		t.Error("authentic response accepted as the answer to another request")
+	}
+	if err := VerifyAnswer(k.Public(), r, "req-1", 3); err == nil {
+		t.Error("authentic response accepted as another server's answer")
+	}
+	if got := Verifies() - before; got != 0 {
+		t.Errorf("mismatched id and index cost %d verifies, want none", got)
+	}
+	r.Body = []byte("forged")
+	if err := VerifyAnswer(k.Public(), r, "req-1", 2); !errors.Is(err, ErrBadSignature) {
+		t.Errorf("forged body: %v", err)
 	}
 }
 
