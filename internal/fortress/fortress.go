@@ -92,17 +92,6 @@ type Config struct {
 	// negative retains nothing, forcing every resync onto the
 	// checkpoint/snapshot path.
 	UpdateWindow int
-	// RespCacheLimit bounds each replica's response cache (oldest-first
-	// eviction past the limit), capping checkpoint, catch-up transfer and
-	// on-disk snapshot size on both backends. Zero selects the engine
-	// default (4096); negative retains everything.
-	RespCacheLimit int
-	// OutboxLimit bounds each replica's per-peer staged outbox
-	// (replica/core): past the bound the oldest staged messages are shed and
-	// the PB primary checkpoint-resyncs the affected backup, so a slow or
-	// partitioned peer costs bounded memory instead of an unbounded backlog.
-	// Zero is unbounded.
-	OutboxLimit int
 	// Leases enables SMR read leases: requests tagged as reads are served
 	// from local replica state under heartbeat-bounded leases instead of
 	// entering the order protocol, so read-mostly throughput scales with
@@ -799,7 +788,6 @@ func (s *System) startServerLocked(i int, snapshot []byte, initialPrimary int, s
 			CatchupHistory:    s.cfg.UpdateWindow,
 			Store:             st,
 			SnapshotEvery:     s.cfg.CheckpointEvery,
-			RespCacheLimit:    s.cfg.RespCacheLimit,
 			Leases:            s.cfg.Leases,
 			LeaseDuration:     s.cfg.LeaseDuration,
 			Metrics:           s.cfg.Metrics,
@@ -824,8 +812,6 @@ func (s *System) startServerLocked(i int, snapshot []byte, initialPrimary int, s
 			HeartbeatTimeout:  s.cfg.HeartbeatTimeout,
 			CheckpointEvery:   s.cfg.CheckpointEvery,
 			UpdateWindow:      s.cfg.UpdateWindow,
-			RespCacheLimit:    s.cfg.RespCacheLimit,
-			OutboxLimit:       s.cfg.OutboxLimit,
 			Store:             st,
 			Metrics:           s.cfg.Metrics,
 		})

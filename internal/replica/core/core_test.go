@@ -276,53 +276,6 @@ func TestCrashTearsDownAddress(t *testing.T) {
 	conn.Close()
 }
 
-// TestGoRefusedWhenStopped: tracked goroutines only run on a live node.
-func TestGoRefusedWhenStopped(t *testing.T) {
-	net := netsim.NewNetwork()
-	peers := twoPeers()
-	n0, _ := startNode(t, net, 0, peers)
-	ran := make(chan struct{})
-	if !n0.Go(func() { close(ran) }) {
-		t.Fatal("Go refused on a running node")
-	}
-	select {
-	case <-ran:
-	case <-time.After(2 * time.Second):
-		t.Fatal("tracked goroutine never ran")
-	}
-	n0.Stop()
-	if n0.Go(func() { t.Error("goroutine ran on a stopped node") }) {
-		t.Fatal("Go accepted on a stopped node")
-	}
-}
-
-// TestAdoptConnClosedOnShutdown: an adopted auxiliary connection is closed
-// by Stop, so a goroutine parked in Recv on it wakes up.
-func TestAdoptConnClosedOnShutdown(t *testing.T) {
-	net := netsim.NewNetwork()
-	peers := twoPeers()
-	n0, _ := startNode(t, net, 0, peers)
-	startNode(t, net, 1, peers)
-	conn, err := net.Dial(peers[0], peers[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !n0.AdoptConn(conn) {
-		t.Fatal("AdoptConn refused on a running node")
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_, _ = conn.Recv() // no traffic: only the shutdown close wakes this
-	}()
-	n0.Stop()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("shutdown did not close the adopted connection")
-	}
-}
-
 // TestFlushCoalescing is the contract BenchmarkUpdateFanout measures: one
 // flush of k staged messages arrives as one burst the receiver can drain
 // with a single RecvBatch.

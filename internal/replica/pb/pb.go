@@ -6,7 +6,12 @@
 // (primary and backups alike) signs the response together with its own index
 // and returns it to the requester, exactly as §3 prescribes for the FORTRESS
 // interaction pattern. Backups never execute requests, which is why the
-// hosted service need not be deterministic.
+// hosted service need not be deterministic. That pattern — the executed
+// request's payload, the same bytes for a repeat of the same request, the
+// requesters parked until the payload exists — is core.Replies, one table
+// under the replica's mu, and the sign-and-encode is core.EncodeReply; this
+// package keeps only what is primary-backup: who executes, and how the
+// state and the table reach the backups.
 //
 // The update stream is incremental and ack-windowed rather than
 // fire-and-forget full snapshots:
@@ -25,7 +30,7 @@
 //     updates, a base-hash mismatch, or an update stream from a different
 //     primary — nacks with its applied frontier. The primary retransmits the
 //     retained suffix when the gap fits the window, and otherwise falls back
-//     to a full checkpoint carrying its response cache. A stalled cumulative
+//     to a full checkpoint carrying its reply table. A stalled cumulative
 //     ack (backup crashed, restarted, or rebuilt) triggers the same resync
 //     from the primary's heartbeat timer, so a backup that restarts
 //     mid-window converges over the same duplex link without waiting for
@@ -43,6 +48,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"time"
@@ -79,8 +85,6 @@ func (r Role) String() string {
 
 // wire message types exchanged between replicas and with requesters.
 const (
-	msgRequest    = "request"    // requester → replica: please serve
-	msgResponse   = "response"   // replica → requester: signed response
 	msgUpdate     = "update"     // primary → backup: executed request + state delta
 	msgCheckpoint = "checkpoint" // primary → backup: full snapshot anchor
 	msgAck        = "ack"        // backup → primary: cumulative applied frontier
@@ -89,17 +93,17 @@ const (
 )
 
 type wireMsg struct {
-	Type      string              `json:"type"`
-	RequestID string              `json:"requestId,omitempty"`
-	Body      []byte              `json:"body,omitempty"`
-	Seq       uint64              `json:"seq,omitempty"`
-	From      int                 `json:"from,omitempty"`
-	Response  *sig.ServerResponse `json:"response,omitempty"`
-	RespBody  []byte              `json:"respBody,omitempty"`
-	RespErr   string              `json:"respErr,omitempty"`
+	Type      string `json:"type"`
+	RequestID string `json:"requestId,omitempty"`
+	Body      []byte `json:"body,omitempty"`
+	Seq       uint64 `json:"seq,omitempty"`
+	From      int    `json:"from,omitempty"`
+	// RespBody is the executed request's signable response payload
+	// (core.Payload), as every replica signs it.
+	RespBody []byte `json:"respBody,omitempty"`
 	// Snapshot carries a checkpoint's full state; Responses rides a resync
 	// checkpoint so requests the receiver jumps over stay answerable from
-	// cache (values are the signable response payloads).
+	// the reply table (a core.Replies export).
 	Snapshot  []byte            `json:"snapshot,omitempty"`
 	Responses map[string][]byte `json:"responses,omitempty"`
 	// DeltaPrefix/Delta/DeltaSuffix carry an incremental update (delta.go);
@@ -113,23 +117,6 @@ type wireMsg struct {
 	// only to a backup confirmed on its own chain, and checkpoint-resyncs
 	// everyone else.
 	Stream int `json:"stream,omitempty"`
-	// Read tags a request the sender classified as a pure read. The pb
-	// engine itself ignores it (backups park request connections until the
-	// primary's update broadcast arrives, so there is no safe local read
-	// path to shortcut into), but the field keeps the request wire shape
-	// shared with smr, whose lease-read path the tag enables — proxies
-	// speak this one encoder to both backends.
-	Read bool `json:"read,omitempty"`
-}
-
-// sortedKeys returns m's keys in sorted order, for deterministic iteration.
-func sortedKeys(m map[string][]byte) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 func encode(m wireMsg) []byte {
@@ -148,9 +135,6 @@ const (
 	// defaultUpdateWindow bounds the retained unacknowledged deltas when
 	// Config.UpdateWindow is zero.
 	defaultUpdateWindow = 256
-	// defaultRespCacheLimit bounds the response cache when
-	// Config.RespCacheLimit is zero.
-	defaultRespCacheLimit = 4096
 	// streamUnknown marks a backup that is not positioned in any primary's
 	// update stream (fresh, rebuilt, or deposed): only a checkpoint anchors
 	// it.
@@ -190,12 +174,6 @@ type Config struct {
 	// checkpoint. Zero selects the default (256); negative retains nothing,
 	// forcing every resync onto the checkpoint path.
 	UpdateWindow int
-	// RespCacheLimit bounds the response cache: past the limit the oldest
-	// cached responses are evicted, so checkpoints, resyncs, and on-disk
-	// snapshots stop growing with total request history. An evicted request
-	// retried past this horizon re-executes instead of replaying from cache.
-	// Zero selects the default (4096); negative retains everything.
-	RespCacheLimit int
 	// OutboxLimit bounds each per-peer outbox (replica/core) to the most
 	// recent k staged messages: staging past the bound sheds the oldest, and
 	// the runtime's shed notification makes this replica answer with a
@@ -249,7 +227,6 @@ func (c Config) validate() error {
 type retained struct {
 	requestID string
 	respBody  []byte
-	respErr   string
 	// checkpoint holds the snapshot bytes when this sequence shipped as a
 	// full checkpoint; nil for delta sequences.
 	checkpoint []byte
@@ -284,11 +261,8 @@ type Replica struct {
 	primaryIdx    int
 	seq           uint64
 	lastHeartbeat time.Time
-	respCache     map[string]cachedResp
-	respOrder     []string // respCache keys, insertion order (eviction)
-	respLimit     int      // 0 = unbounded
-	ckptJumps     int      // installed checkpoints that re-anchored the chain
-	pending       map[string][]*netsim.Conn
+	replies       *core.Replies // executed ids → payload, parked requesters
+	ckptJumps     int           // installed checkpoints that re-anchored the chain
 	suspected     map[int]bool
 
 	// Primary-side update stream state.
@@ -331,21 +305,6 @@ type Replica struct {
 	trace         *metrics.TraceRing
 }
 
-type cachedResp struct {
-	body   []byte
-	errMsg string
-}
-
-// payload is the signable response body: what every replica signs for this
-// request, and what checkpoint Responses maps carry — one definition, so a
-// response transferred by resync signs the same bytes a live replica signs.
-func (c cachedResp) payload() []byte {
-	if c.errMsg != "" {
-		return []byte("error: " + c.errMsg)
-	}
-	return c.body
-}
-
 // New starts a replica. Call Stop to shut it down.
 func New(cfg Config) (*Replica, error) {
 	if err := cfg.validate(); err != nil {
@@ -361,13 +320,6 @@ func New(cfg Config) (*Replica, error) {
 	case windowKeep < 0:
 		windowKeep = 0
 	}
-	respLimit := cfg.RespCacheLimit
-	switch {
-	case respLimit == 0:
-		respLimit = defaultRespCacheLimit
-	case respLimit < 0:
-		respLimit = 0
-	}
 	st := cfg.Store
 	if st == nil {
 		st = store.NewMem()
@@ -376,11 +328,9 @@ func New(cfg Config) (*Replica, error) {
 		cfg:        cfg,
 		store:      st,
 		durable:    st.Durable(),
-		respLimit:  respLimit,
 		role:       RoleBackup,
 		primaryIdx: cfg.InitialPrimary,
-		respCache:  make(map[string]cachedResp),
-		pending:    make(map[string][]*netsim.Conn),
+		replies:    core.NewReplies(core.ReplyHorizon),
 		suspected:  make(map[int]bool),
 		window:     core.NewWindow[retained](1, windowKeep),
 		acked:      make(map[int]uint64),
@@ -496,23 +446,6 @@ func (r *Replica) CheckpointJumps() int {
 // PublicKey exposes the verification key for name-server registration.
 func (r *Replica) PublicKey() []byte { return r.cfg.Keys.Public() }
 
-// cacheRespLocked inserts one cached response, evicting oldest-first past
-// the configured bound. Caller holds r.mu.
-func (r *Replica) cacheRespLocked(id string, c cachedResp) {
-	if _, ok := r.respCache[id]; !ok {
-		r.respOrder = append(r.respOrder, id)
-	}
-	r.respCache[id] = c
-	if r.respLimit <= 0 {
-		return
-	}
-	for len(r.respOrder) > r.respLimit {
-		evicted := r.respOrder[0]
-		r.respOrder = r.respOrder[1:]
-		delete(r.respCache, evicted)
-	}
-}
-
 // Stop shuts the replica down and waits for its goroutines to exit.
 func (r *Replica) Stop() { r.node.Stop() }
 
@@ -563,7 +496,7 @@ func (r *Replica) Rejoin() {
 	// resolves with a nack on the first update or heartbeat it hears.
 	r.suspected = make(map[int]bool)
 	// Parked requesters were disconnected by the shutdown; they resubmit.
-	r.pending = make(map[string][]*netsim.Conn)
+	r.replies.Unpark()
 	r.resyncing = false
 	// The ack-stall clock compares frontiers observed on consecutive live
 	// ticks; observations from before the crash describe a link that no
@@ -614,7 +547,7 @@ func (r *Replica) RecoverFromStore() error {
 		state []byte
 		seq   uint64
 		from  = streamUnknown
-		resps = make(map[string]cachedResp)
+		resps = make(map[string][]byte)
 	)
 	if rec.HasSnapshot {
 		var cp wireMsg
@@ -624,13 +557,9 @@ func (r *Replica) RecoverFromStore() error {
 		state = cp.Snapshot
 		seq = cp.Seq
 		from = cp.From
+		maps.Copy(resps, cp.Responses)
 		if cp.RequestID != "" {
-			resps[cp.RequestID] = cachedResp{body: cp.RespBody, errMsg: cp.RespErr}
-		}
-		for id, payload := range cp.Responses {
-			if _, ok := resps[id]; !ok {
-				resps[id] = cachedResp{body: payload}
-			}
+			resps[cp.RequestID] = cp.RespBody
 		}
 	}
 replay:
@@ -664,7 +593,7 @@ replay:
 			break replay
 		}
 		if m.RequestID != "" {
-			resps[m.RequestID] = cachedResp{body: m.RespBody, errMsg: m.RespErr}
+			resps[m.RequestID] = m.RespBody
 		}
 		seq = rseq
 	}
@@ -691,14 +620,7 @@ replay:
 	} else {
 		r.role = RolePrimary
 	}
-	ids := make([]string, 0, len(resps))
-	for id := range resps {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		r.cacheRespLocked(id, resps[id])
-	}
+	r.replies.Import(resps)
 	r.lastHeartbeat = time.Now()
 	r.mu.Unlock()
 	return nil
@@ -711,7 +633,7 @@ func (r *Replica) HandleMessage(conn *netsim.Conn, raw []byte, replies [][]byte)
 		return replies // malformed traffic is dropped, never crashes a replica
 	}
 	switch m.Type {
-	case msgRequest:
+	case core.MsgRequest:
 		if resp := r.handleRequest(conn, m); resp != nil {
 			replies = append(replies, resp)
 		}
@@ -755,13 +677,13 @@ func (r *Replica) HandlePeerReply(peer int, raw []byte) {
 // responses into one SendBatch.
 func (r *Replica) handleRequest(conn *netsim.Conn, m wireMsg) []byte {
 	r.mu.Lock()
-	if cached, ok := r.respCache[m.RequestID]; ok {
+	if payload, ok := r.replies.Lookup(m.RequestID); ok {
 		r.mu.Unlock()
-		return r.responseBytes(m.RequestID, cached)
+		return r.reply(m.RequestID, payload)
 	}
 	if r.role != RolePrimary {
 		// Backup: park the connection until the primary's update arrives.
-		r.pending[m.RequestID] = append(r.pending[m.RequestID], conn)
+		r.replies.Park(m.RequestID, conn)
 		r.mu.Unlock()
 		return nil
 	}
@@ -781,17 +703,13 @@ func (r *Replica) execute(m wireMsg) []byte {
 	r.mu.Lock()
 	// Re-check under execMu: a concurrent duplicate may have executed while
 	// this request waited, and must not run the service twice.
-	if prior, ok := r.respCache[m.RequestID]; ok {
+	if prior, ok := r.replies.Lookup(m.RequestID); ok {
 		r.mu.Unlock()
-		return r.responseBytes(m.RequestID, prior)
+		return r.reply(m.RequestID, prior)
 	}
 	r.mu.Unlock()
 
-	body, applyErr := r.cfg.Service.Apply(m.Body)
-	cached := cachedResp{body: body}
-	if applyErr != nil {
-		cached = cachedResp{errMsg: applyErr.Error()}
-	}
+	payload := core.Payload(r.cfg.Service.Apply(m.Body))
 
 	// Fast path: a DeltaCapable service described this Apply's exact
 	// snapshot edit, so the next chain state is a splice of the previous
@@ -822,16 +740,16 @@ func (r *Replica) execute(m wireMsg) []byte {
 	r.mu.Lock()
 	r.seq++
 	seq := r.seq
-	r.cacheRespLocked(m.RequestID, cached)
+	r.replies.Record(m.RequestID, payload)
 	if snapErr != nil {
 		// The new state cannot be described: break the chain so the next
 		// update checkpoints, and restart the window past the hole.
 		r.lastSnap = nil
 		r.window.Reset(seq + 1)
 		r.mu.Unlock()
-		return r.responseBytes(m.RequestID, cached)
+		return r.reply(m.RequestID, payload)
 	}
-	up := retained{requestID: m.RequestID, respBody: cached.body, respErr: cached.errMsg}
+	up := retained{requestID: m.RequestID, respBody: payload}
 	if r.lastSnap == nil || seq%uint64(r.cfg.CheckpointEvery) == 0 {
 		up.checkpoint = snap
 		r.mCheckpoints.Inc()
@@ -864,13 +782,13 @@ func (r *Replica) execute(m wireMsg) []byte {
 		r.persistUpdateLocked(seq, up, wire)
 	}
 	r.mu.Unlock()
-	return r.responseBytes(m.RequestID, cached)
+	return r.reply(m.RequestID, payload)
 }
 
 // persistUpdateLocked journals one executed update on the primary: deltas
 // append the exact broadcast bytes (the encoding is immutable, so sharing
 // it with the outboxes is safe), checkpoints overwrite the snapshot slot —
-// with the response cache attached, like a resync checkpoint — and clear
+// with the reply table attached, like a resync checkpoint — and clear
 // the journal the snapshot supersedes. Store errors are dropped: durability
 // degrades (recovery covers less) but the replica keeps serving. Caller
 // holds execMu and r.mu.
@@ -879,11 +797,7 @@ func (r *Replica) persistUpdateLocked(seq uint64, up retained, wire []byte) {
 		_ = r.store.Append(seq, wire)
 		return
 	}
-	responses := make(map[string][]byte, len(r.respCache))
-	for id, c := range r.respCache {
-		responses[id] = c.payload()
-	}
-	if r.store.WriteSnapshot(seq, encode(updateMsg(seq, r.cfg.Index, up, responses))) == nil {
+	if r.store.WriteSnapshot(seq, encode(updateMsg(seq, r.cfg.Index, up, r.replies.Export()))) == nil {
 		_ = r.store.TruncateTo(store.TruncateAll)
 	}
 }
@@ -896,7 +810,6 @@ func updateMsg(seq uint64, from int, up retained, responses map[string][]byte) w
 		From:      from,
 		RequestID: up.requestID,
 		RespBody:  up.respBody,
-		RespErr:   up.respErr,
 		Responses: responses,
 	}
 	if up.checkpoint != nil {
@@ -912,15 +825,9 @@ func updateMsg(seq uint64, from int, up retained, responses map[string][]byte) w
 	return m
 }
 
-// responseBytes signs and encodes the response for a request.
-func (r *Replica) responseBytes(requestID string, c cachedResp) []byte {
-	resp := sig.SignServerResponse(r.cfg.Keys, requestID, c.payload(), r.cfg.Index)
-	return encode(wireMsg{Type: msgResponse, RequestID: requestID, Response: &resp})
-}
-
-// reply signs and sends the response for a request on the given connection.
-func (r *Replica) reply(conn *netsim.Conn, requestID string, c cachedResp) {
-	_ = conn.Send(r.responseBytes(requestID, c))
+// reply signs and encodes this replica's response to a request.
+func (r *Replica) reply(requestID string, payload []byte) []byte {
+	return core.EncodeReply(r.cfg.Keys, r.cfg.Index, requestID, payload, false)
 }
 
 // handleUpdate applies a primary update (delta or checkpoint) on a backup
@@ -1001,7 +908,6 @@ func (r *Replica) handleUpdate(m wireMsg) []byte {
 		return r.nackDiverged()
 	}
 
-	cached := cachedResp{body: m.RespBody, errMsg: m.RespErr}
 	r.mDeltas.Inc()
 	r.mu.Lock()
 	r.seq = m.Seq
@@ -1009,20 +915,16 @@ func (r *Replica) handleUpdate(m wireMsg) []byte {
 	r.primaryIdx = m.From
 	r.lastHeartbeat = time.Now()
 	r.resyncing = false
-	r.cacheRespLocked(m.RequestID, cached)
+	waiting := r.replies.Record(m.RequestID, m.RespBody)
 	if r.durable {
 		// Journal the installed update so a rebuild over this store resumes
 		// from the applied frontier instead of an empty state.
 		_ = r.store.Append(m.Seq, encode(m))
 	}
-	waiting := r.pending[m.RequestID]
-	delete(r.pending, m.RequestID)
 	ack := r.ackLocked(m.From)
 	r.mu.Unlock()
 
-	for _, w := range waiting {
-		r.reply(w, m.RequestID, cached)
-	}
+	core.Answer(r.cfg.Keys, r.cfg.Index, waiting)
 	return ack
 }
 
@@ -1035,12 +937,7 @@ func (r *Replica) installCheckpoint(m wireMsg, sameStream bool, prevSeq uint64) 
 		// Unusable snapshot: stay put; the primary's stall detector retries.
 		return nil
 	}
-	type answered struct {
-		requestID string
-		resp      cachedResp
-		conns     []*netsim.Conn
-	}
-	var serve []answered
+	var serve []core.Waiting
 	var orphaned []*netsim.Conn
 
 	r.mu.Lock()
@@ -1056,16 +953,11 @@ func (r *Replica) installCheckpoint(m wireMsg, sameStream bool, prevSeq uint64) 
 		r.ckptJumps++
 		r.mCkptJumps.Inc()
 	}
+	// Whoever is parked on a request this checkpoint answers is served now.
 	if m.RequestID != "" {
-		r.cacheRespLocked(m.RequestID, cachedResp{body: m.RespBody, errMsg: m.RespErr})
+		serve = append(serve, r.replies.Record(m.RequestID, m.RespBody))
 	}
-	// Sorted merge: with a bounded cache, insertion order decides eviction
-	// order, and map iteration order would make it nondeterministic.
-	for _, id := range sortedKeys(m.Responses) {
-		if _, ok := r.respCache[id]; !ok {
-			r.cacheRespLocked(id, cachedResp{body: m.Responses[id]})
-		}
-	}
+	serve = append(serve, r.replies.Import(m.Responses)...)
 	if r.durable {
 		// The checkpoint message carries everything recovery needs (state,
 		// stream, responses): persist it whole as the snapshot slot and drop
@@ -1075,30 +967,17 @@ func (r *Replica) installCheckpoint(m wireMsg, sameStream bool, prevSeq uint64) 
 			_ = r.store.TruncateTo(store.TruncateAll)
 		}
 	}
-	for id, conns := range r.pending {
-		if cached, ok := r.respCache[id]; ok {
-			delete(r.pending, id)
-			serve = append(serve, answered{id, cached, conns})
-		}
-	}
 	if jumped {
 		// The jump skipped requests this checkpoint carries no responses
 		// for: close their parked connections so the requesters resubmit
-		// (the primary answers retries from its cache), exactly as failover
+		// (the primary answers retries from its table), exactly as failover
 		// does for requests orphaned by a dead primary.
-		for id, conns := range r.pending {
-			delete(r.pending, id)
-			orphaned = append(orphaned, conns...)
-		}
+		orphaned = r.replies.Unpark()
 	}
 	ack := r.ackLocked(m.From)
 	r.mu.Unlock()
 
-	for _, a := range serve {
-		for _, c := range a.conns {
-			r.reply(c, a.requestID, a.resp)
-		}
-	}
+	core.Answer(r.cfg.Keys, r.cfg.Index, serve...)
 	for _, c := range orphaned {
 		c.Close()
 	}
@@ -1202,7 +1081,7 @@ func (r *Replica) takeShedPeers() []int {
 // confirmed on this primary's own chain (stream) whose gap fits the
 // retained window gets the missing suffix retransmitted delta-by-delta;
 // anything else — cross-stream, out-the-window, or never-acked — gets a
-// full checkpoint carrying the response cache. execMu is held across
+// full checkpoint carrying the reply table. execMu is held across
 // staging so the resync cannot interleave with a concurrent execution's
 // broadcast: the per-peer outbox is FIFO, so the backup receives the suffix
 // and any newer live updates in chain order.
@@ -1244,14 +1123,10 @@ func (r *Replica) resyncPeer(peer int, from uint64, stream int) {
 			return // staged; the runtime flushes on the way out
 		}
 	}
-	// Checkpoint fallback: the whole state plus the response cache, so
-	// requests the backup jumps over stay answerable from cache.
+	// Checkpoint fallback: the whole state plus the reply table, so
+	// requests the backup jumps over stay answerable from it.
 	if r.lastSnap == nil {
 		return // nothing executed yet; the first update will checkpoint
-	}
-	responses := make(map[string][]byte, len(r.respCache))
-	for id, c := range r.respCache {
-		responses[id] = c.payload()
 	}
 	r.mResyncCkpt.Inc()
 	r.node.SendTo(peer, encode(wireMsg{
@@ -1259,7 +1134,7 @@ func (r *Replica) resyncPeer(peer int, from uint64, stream int) {
 		Seq:       r.seq,
 		From:      r.cfg.Index,
 		Snapshot:  r.lastSnap,
-		Responses: responses,
+		Responses: r.replies.Export(),
 	}))
 }
 
@@ -1339,7 +1214,7 @@ func (r *Replica) Tick() {
 				// Back off while the peer keeps not answering (crashed or
 				// partitioned away): each unanswered resync doubles the
 				// wait, capped at 8× — a dead backup must not cost a full
-				// state+cache encode every timeout. Ack progress resets it.
+				// state+replies encode every timeout. Ack progress resets it.
 				r.stallWait[idx] = min(wait*2, r.stallLimit*8)
 				// A peer that has acked on this stream is retransmitted
 				// from its frontier; one that never has gets a checkpoint.
@@ -1408,6 +1283,10 @@ func (r *Replica) promote(deadPrimary int) {
 	}
 	r.primaryIdx = next
 	r.lastHeartbeat = time.Now()
+	// Requests parked waiting for the dead primary's update will never be
+	// answered, and their bodies are gone with the parked message: close the
+	// connections so requesters notice now and resubmit (proxies do).
+	orphaned := r.replies.Unpark()
 	becamePrimary := next == r.cfg.Index && r.role != RolePrimary
 	if becamePrimary {
 		r.role = RolePrimary
@@ -1430,33 +1309,8 @@ func (r *Replica) promote(deadPrimary int) {
 		// Announce immediately so peers stop their own failover timers.
 		r.node.Broadcast(encode(wireMsg{Type: msgHeartbeat, From: r.cfg.Index, Seq: r.Seq()}))
 	}
-	// Requests parked waiting for the dead primary's update will never be
-	// answered; close them so requesters resubmit (to the new primary).
-	r.serveParkedRequests()
-}
-
-// serveParkedRequests answers requests that were parked while this replica
-// was a backup and never got an update from the dead primary.
-func (r *Replica) serveParkedRequests() {
-	r.mu.Lock()
-	parked := r.pending
-	r.pending = make(map[string][]*netsim.Conn)
-	r.mu.Unlock()
-	for reqID, conns := range parked {
-		r.mu.Lock()
-		cached, ok := r.respCache[reqID]
-		r.mu.Unlock()
-		if !ok {
-			// The request body is gone with the parked message; requesters
-			// resubmit on timeout (proxies do). Close so they notice now.
-			for _, c := range conns {
-				c.Close()
-			}
-			continue
-		}
-		for _, c := range conns {
-			r.reply(c, reqID, cached)
-		}
+	for _, c := range orphaned {
+		c.Close()
 	}
 }
 
@@ -1473,42 +1327,13 @@ func Request(net *netsim.Network, from, addr, requestID string, body []byte, tim
 // eligible for the smr lease-read fast path at the receiving replica (the
 // pb engine serves them through the ordinary primary path regardless).
 func RequestTagged(net *netsim.Network, from, addr, requestID string, body []byte, read bool, timeout time.Duration) (sig.ServerResponse, error) {
-	conn, err := net.Dial(from, addr)
-	if err != nil {
-		return sig.ServerResponse{}, fmt.Errorf("pb: request dial: %w", err)
-	}
-	defer conn.Close()
-	return requestOnTagged(conn, requestID, body, read, timeout)
+	resp, _, err := core.Request(net, from, addr, requestID, body, read, timeout)
+	return resp, err
 }
 
 // RequestOn issues a request on an existing connection and waits for the
 // matching signed response, skipping unrelated traffic.
 func RequestOn(conn *netsim.Conn, requestID string, body []byte, timeout time.Duration) (sig.ServerResponse, error) {
-	return requestOnTagged(conn, requestID, body, false, timeout)
-}
-
-func requestOnTagged(conn *netsim.Conn, requestID string, body []byte, read bool, timeout time.Duration) (sig.ServerResponse, error) {
-	if err := conn.Send(encode(wireMsg{Type: msgRequest, RequestID: requestID, Body: body, Read: read})); err != nil {
-		return sig.ServerResponse{}, fmt.Errorf("pb: request send: %w", err)
-	}
-	deadline := time.Now().Add(timeout)
-	for {
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			return sig.ServerResponse{}, netsim.ErrTimeout
-		}
-		raw, err := conn.RecvTimeout(remaining)
-		if err != nil {
-			return sig.ServerResponse{}, fmt.Errorf("pb: request recv: %w", err)
-		}
-		var m wireMsg
-		uerr := json.Unmarshal(raw, &m)
-		netsim.Release(raw) // decoded: json copied every field out of raw
-		if uerr != nil {
-			continue
-		}
-		if m.Type == msgResponse && m.RequestID == requestID && m.Response != nil {
-			return *m.Response, nil
-		}
-	}
+	resp, _, err := core.RequestOn(conn, requestID, body, false, timeout)
+	return resp, err
 }

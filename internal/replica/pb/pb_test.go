@@ -8,6 +8,7 @@ import (
 
 	"fortress/internal/metrics"
 	"fortress/internal/netsim"
+	"fortress/internal/replica/core"
 	"fortress/internal/service"
 	"fortress/internal/sig"
 	"fortress/internal/xrand"
@@ -108,8 +109,8 @@ func TestConfigValidation(t *testing.T) {
 	r.Stop()
 }
 
-// respCacheReplica stands up a single-node cluster with the given response
-// cache bound.
+// respCacheReplica stands up a single-node cluster whose reply table is
+// swapped, before any traffic, for one with the given horizon.
 func respCacheReplica(t *testing.T, limit int) (*netsim.Network, *Replica) {
 	t.Helper()
 	net := netsim.NewNetwork()
@@ -121,61 +122,50 @@ func respCacheReplica(t *testing.T, limit int) (*netsim.Network, *Replica) {
 		Index: 0, Addr: "solo", Peers: map[int]string{0: "solo"},
 		InitialPrimary: 0, Service: service.NewKV(), Keys: keys, Net: net,
 		HeartbeatInterval: hbInterval, HeartbeatTimeout: hbTimeout,
-		RespCacheLimit: limit,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(r.Stop)
+	r.mu.Lock()
+	r.replies = core.NewReplies(limit)
+	r.mu.Unlock()
 	return net, r
 }
 
-// TestRespCacheBounded pins the retry-horizon eviction: with a limit of 4,
-// six distinct requests leave exactly the four youngest responses cached,
-// in insertion order, and the evicted ids are gone — a retry past the
-// horizon re-executes instead of replaying.
+// TestRespCacheBounded pins the retry-horizon eviction through a live
+// replica: with a horizon of 4, six distinct requests leave exactly the four
+// youngest responses in the table, a retry inside the horizon replays
+// without executing, and one past it executes again.
 func TestRespCacheBounded(t *testing.T) {
 	net, r := respCacheReplica(t, 4)
-	for i := 0; i < 6; i++ {
-		id := fmt.Sprintf("r%d", i)
+	put := func(id string) {
+		t.Helper()
 		if _, err := Request(net, "client", r.Addr(), id, kvPut(t, "k", id), reqTimeout); err != nil {
 			t.Fatal(err)
 		}
 	}
-	r.mu.Lock()
-	cached := len(r.respCache)
-	ordered := len(r.respOrder)
-	_, hasOldest := r.respCache["r0"]
-	_, hasEvictEdge := r.respCache["r1"]
-	_, hasSurvivor := r.respCache["r2"]
-	_, hasNewest := r.respCache["r5"]
-	r.mu.Unlock()
-	if cached != 4 || ordered != 4 {
-		t.Fatalf("cache holds %d entries (%d ordered), want 4", cached, ordered)
-	}
-	if hasOldest || hasEvictEdge {
-		t.Error("oldest responses not evicted at the bound")
-	}
-	if !hasSurvivor || !hasNewest {
-		t.Error("responses inside the retry horizon were evicted")
-	}
-}
-
-// TestRespCacheUnboundedWhenNegative pins the opt-out: a negative limit
-// retains every response.
-func TestRespCacheUnboundedWhenNegative(t *testing.T) {
-	net, r := respCacheReplica(t, -1)
 	for i := 0; i < 6; i++ {
-		id := fmt.Sprintf("u%d", i)
-		if _, err := Request(net, "client", r.Addr(), id, kvPut(t, "k", id), reqTimeout); err != nil {
-			t.Fatal(err)
+		put(fmt.Sprintf("r%d", i))
+	}
+	r.mu.Lock()
+	held := r.replies.Export()
+	r.mu.Unlock()
+	if len(held) != 4 {
+		t.Fatalf("table holds %d entries, want 4", len(held))
+	}
+	for id, want := range map[string]bool{"r0": false, "r1": false, "r2": true, "r5": true} {
+		if _, ok := held[id]; ok != want {
+			t.Errorf("%s retained = %v, want %v", id, ok, want)
 		}
 	}
-	r.mu.Lock()
-	cached := len(r.respCache)
-	r.mu.Unlock()
-	if cached != 6 {
-		t.Fatalf("cache holds %d entries, want all 6", cached)
+	put("r5")
+	if got := r.Seq(); got != 6 {
+		t.Fatalf("retry inside the horizon executed: seq = %d, want 6", got)
+	}
+	put("r0")
+	if got := r.Seq(); got != 7 {
+		t.Fatalf("retry past the horizon replayed: seq = %d, want 7", got)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"fortress/internal/netsim"
+	"fortress/internal/replica/core"
 	"fortress/internal/service"
 	"fortress/internal/sig"
 )
@@ -86,7 +87,7 @@ func TestCatchupAfterCrashRestartSuffix(t *testing.T) {
 	// The replayed suffix also rebuilt the response cache: a request that
 	// was sequenced while the replica was down is answered from cache when
 	// asked directly.
-	resp, err := request(net, "late-client", reps[2].Addr(), "r7", []byte("inc"), reqTimeout)
+	resp, _, err := core.Request(net, "late-client", reps[2].Addr(), "r7", []byte("inc"), false, reqTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestCatchupSnapshotTransfersResponseCache(t *testing.T) {
 
 	// r5 was executed (as the sixth increment) while replica 2 was down
 	// and arrived here only inside the snapshot jump.
-	resp, err := request(net, "retry-client", reps[2].Addr(), "r5", []byte("inc"), reqTimeout)
+	resp, _, err := core.Request(net, "retry-client", reps[2].Addr(), "r5", []byte("inc"), false, reqTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"fortress/internal/netsim"
+	"fortress/internal/replica/core"
 	"fortress/internal/service"
 	"fortress/internal/sig"
 )
@@ -59,7 +60,15 @@ func scriptedClient(t *testing.T, f int, answer ...func(idx int, keys *sig.KeyPa
 
 // respond sends resp under the (unsigned) envelope id.
 func respond(conn *netsim.Conn, envelopeID string, resp sig.ServerResponse) {
-	_ = conn.Send(encode(wireMsg{Type: msgResponse, RequestID: envelopeID, Response: &resp}))
+	b, err := json.Marshal(struct {
+		Type      string              `json:"type"`
+		RequestID string              `json:"requestId"`
+		Response  *sig.ServerResponse `json:"response"`
+	}{core.MsgResponse, envelopeID, &resp})
+	if err != nil {
+		panic(err)
+	}
+	_ = conn.Send(b)
 }
 
 func TestInvokeVerifiesOnlyUntilQuorum(t *testing.T) {

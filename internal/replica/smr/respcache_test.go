@@ -5,35 +5,37 @@ import (
 	"testing"
 
 	"fortress/internal/netsim"
+	"fortress/internal/replica/core"
 	"fortress/internal/replica/store"
 	"fortress/internal/service"
 	"fortress/internal/sig"
 )
 
-// respCacheState snapshots a replica's response-cache bookkeeping.
-func respCacheState(r *Replica) (cached, order int, ids map[string]bool, orderedIDs map[string]bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	ids = make(map[string]bool, len(r.respCache))
-	for id := range r.respCache {
-		ids[id] = true
+// shortHorizon swaps every replica's reply table, before any traffic, for
+// one retaining only limit entries.
+func shortHorizon(reps []*Replica, limit int) {
+	for _, r := range reps {
+		r.mu.Lock()
+		r.replies = core.NewReplies(limit)
+		r.mu.Unlock()
 	}
-	orderedIDs = make(map[string]bool, len(r.ordered))
-	for id := range r.ordered {
-		orderedIDs[id] = true
-	}
-	return len(r.respCache), len(r.respOrder), ids, orderedIDs
 }
 
-// TestRespCacheBounded: with RespCacheLimit set, every replica retains only
-// the newest responses — the retry horizon — and prunes the leader's
-// sequenced-ID dedup set in lockstep, so the two structures never disagree
-// about which retries are absorbable.
+// heldReplies returns the ids a replica's reply table retains.
+func heldReplies(r *Replica) map[string][]byte {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.replies.Export()
+}
+
+// TestRespCacheBounded: under a short horizon every replica retains only
+// the newest responses. (That an evicted id is claimable again — the dedup
+// half the old ordered set carried — is core.TestRepliesClaim.)
 func TestRespCacheBounded(t *testing.T) {
 	const limit = 4
 	_, reps, client := leaseCluster(t, 4,
-		func(int) service.Service { return service.NewCounter() },
-		func(c *Config) { c.RespCacheLimit = limit })
+		func(int) service.Service { return service.NewCounter() }, nil)
+	shortHorizon(reps, limit)
 	for i := 0; i < 10; i++ {
 		if _, err := client.Invoke(fmt.Sprintf("r%d", i), []byte("inc")); err != nil {
 			t.Fatal(err)
@@ -41,24 +43,14 @@ func TestRespCacheBounded(t *testing.T) {
 	}
 	waitExecuted(t, reps, 10)
 	for _, r := range reps {
-		cached, order, ids, orderedIDs := respCacheState(r)
-		if cached > limit || order > limit {
-			t.Fatalf("replica %d cache grew past the horizon: %d cached, %d in order", r.Index(), cached, order)
+		held := heldReplies(r)
+		if len(held) > limit {
+			t.Fatalf("replica %d table grew past the horizon: %d held", r.Index(), len(held))
 		}
-		// The newest requests are retained; evicted IDs are gone from the
-		// dedup set too.
-		for i := 10 - limit; i < 10; i++ {
-			if !ids[fmt.Sprintf("r%d", i)] {
-				t.Fatalf("replica %d evicted r%d, inside the horizon", r.Index(), i)
-			}
-		}
-		for i := 0; i < 10-limit; i++ {
+		for i := 0; i < 10; i++ {
 			id := fmt.Sprintf("r%d", i)
-			if ids[id] {
-				t.Fatalf("replica %d retained r%d past the horizon", r.Index(), i)
-			}
-			if orderedIDs[id] {
-				t.Fatalf("replica %d kept evicted r%d in the ordered set", r.Index(), i)
+			if _, ok := held[id]; ok != (i >= 10-limit) {
+				t.Fatalf("replica %d holds r%d = %v, horizon is the newest %d", r.Index(), i, ok, limit)
 			}
 		}
 	}
@@ -69,8 +61,8 @@ func TestRespCacheBounded(t *testing.T) {
 // it re-enters the order protocol as a fresh request.
 func TestRespCacheRetryHorizon(t *testing.T) {
 	_, reps, client := leaseCluster(t, 4,
-		func(int) service.Service { return service.NewCounter() },
-		func(c *Config) { c.RespCacheLimit = 4 })
+		func(int) service.Service { return service.NewCounter() }, nil)
+	shortHorizon(reps, 4)
 	for i := 0; i < 6; i++ {
 		if _, err := client.Invoke(fmt.Sprintf("r%d", i), []byte("inc")); err != nil {
 			t.Fatal(err)
@@ -107,9 +99,9 @@ func TestCatchupSnapshotShipsBoundedCache(t *testing.T) {
 	_, reps, client := leaseCluster(t, 3,
 		func(int) service.Service { return service.NewCounter() },
 		func(c *Config) {
-			c.RespCacheLimit = limit
 			c.CatchupHistory = -1 // retain no log: force the snapshot path
 		})
+	shortHorizon(reps, limit)
 	invokeN(t, client, 0, 4)
 	waitFor(t, func() bool { return reps[2].Executed() == 4 })
 	reps[2].Crash()
@@ -119,9 +111,8 @@ func TestCatchupSnapshotShipsBoundedCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return reps[2].Executed() == 8 })
-	cached, order, _, _ := respCacheState(reps[2])
-	if cached > limit || order > limit {
-		t.Fatalf("catch-up shipped past the horizon: %d cached, %d in order, limit %d", cached, order, limit)
+	if held := len(heldReplies(reps[2])); held > limit {
+		t.Fatalf("catch-up shipped past the horizon: %d held, limit %d", held, limit)
 	}
 }
 
@@ -148,11 +139,11 @@ func singleReplica(t *testing.T, net *netsim.Network, st store.Store, customize 
 	return r
 }
 
-// TestSeededReplicaNotMistakenForVirgin pins the virgin-detection fix for
-// the bounded cache era: RecoverFromStore must gate on respSeen (insertions
-// ever), not on the cache's current size — a replica seeded with initial
-// responses has protocol state even if eviction later empties its cache,
-// and must not be re-anchored on a disk snapshot over that state.
+// TestSeededReplicaNotMistakenForVirgin pins the virgin-detection rule:
+// RecoverFromStore gates on Replies.Seen — a replica seeded with initial
+// responses has protocol state even though it has executed nothing (and
+// even if eviction later empties its table: core.TestRepliesSeen), and must
+// not be re-anchored on a disk snapshot over that state.
 func TestSeededReplicaNotMistakenForVirgin(t *testing.T) {
 	dir := t.TempDir()
 	open := func() store.Store {
@@ -167,7 +158,7 @@ func TestSeededReplicaNotMistakenForVirgin(t *testing.T) {
 	net := netsim.NewNetwork()
 	r1 := singleReplica(t, net, open(), nil)
 	for i := 0; i < 3; i++ {
-		if _, err := request(net, "c", r1.Addr(), fmt.Sprintf("w%d", i), []byte("inc"), reqTimeout); err != nil {
+		if _, _, err := core.Request(net, "c", r1.Addr(), fmt.Sprintf("w%d", i), []byte("inc"), false, reqTimeout); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -175,21 +166,17 @@ func TestSeededReplicaNotMistakenForVirgin(t *testing.T) {
 	r1.Stop()
 
 	// A donor-seeded replacement over the same store: it carries initial
-	// responses (respSeen > 0), so disk recovery must leave it untouched
-	// even though its executed counter still reads zero.
+	// responses, so disk recovery must leave it untouched even though its
+	// executed counter still reads zero.
 	r2 := singleReplica(t, netsim.NewNetwork(), open(), func(c *Config) {
 		c.Addr, c.Peers = "solo2", map[int]string{0: "solo2"}
-		c.RespCacheLimit = 1
 		c.InitialResponses = map[string][]byte{"seed-a": []byte("1"), "seed-b": []byte("2")}
 	})
 	if got := r2.Executed(); got != 0 {
 		t.Fatalf("seeded replica recovered from store anyway: executed = %d, want 0", got)
 	}
-	r2.mu.Lock()
-	seen, cached := r2.respSeen, len(r2.respCache)
-	r2.mu.Unlock()
-	if seen != 2 || cached != 1 {
-		t.Fatalf("seed accounting: respSeen = %d (want 2), cached = %d (want 1)", seen, cached)
+	if held := heldReplies(r2); len(held) != 2 {
+		t.Fatalf("seeded table holds %d entries, want the 2 initial responses", len(held))
 	}
 	r2.Stop()
 

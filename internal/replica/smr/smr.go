@@ -31,7 +31,13 @@
 // documented trade: locality against the ordered path's voting protection.
 //
 // Transport, lifecycle and peer fan-out come from the shared node runtime
-// in replica/core. On top of it the engine adds leader-driven catch-up: a
+// in replica/core, and so does the reply table (core.Replies, under the
+// replica's mu): executed id → payload inside a fixed retry horizon, the
+// sequencer's claim on an id between ordering and execution, and the
+// clients parked until the id executes. Its export travels with every
+// snapshot — catch-up, state transfer, the store's snapshot slot.
+//
+// On top of the runtime the engine adds leader-driven catch-up: a
 // replica that detects a sequence gap (it missed orders while crashed,
 // partitioned, or rebuilt from scratch) asks the current leader for a
 // snapshot and/or the missing log suffix, replays it, and only then rejoins
@@ -46,6 +52,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"time"
@@ -67,10 +74,8 @@ var (
 )
 
 const (
-	msgRequest     = "request"      // client → replica
 	msgForward     = "forward"      // follower → leader: please order this
 	msgOrder       = "order"        // leader → all: execute at sequence
-	msgResponse    = "response"     // replica → client
 	msgHeartbeat   = "heartbeat"    // leader → followers (carries the executed frontier)
 	msgLeaseAck    = "lease-ack"    // follower → leader: granting heartbeat acknowledged (duplex reply)
 	msgCatchupReq  = "catchup-req"  // lagging replica → leader: transfer from Seq
@@ -85,29 +90,22 @@ type wireLogEntry struct {
 }
 
 type wireMsg struct {
-	Type      string              `json:"type"`
-	RequestID string              `json:"requestId,omitempty"`
-	Body      []byte              `json:"body,omitempty"`
-	Seq       uint64              `json:"seq,omitempty"`
-	From      int                 `json:"from,omitempty"`
-	Response  *sig.ServerResponse `json:"response,omitempty"`
+	Type      string `json:"type"`
+	RequestID string `json:"requestId,omitempty"`
+	Body      []byte `json:"body,omitempty"`
+	Seq       uint64 `json:"seq,omitempty"`
+	From      int    `json:"from,omitempty"`
 	// Read tags a request the client believes is a pure read, making it
 	// eligible for the lease-read fast path. The tag alone never skips
 	// ordering: the replica also asks the hosted service to classify the
 	// body (service.IsReadOnly), so a mis-tagged write still sequences.
 	Read bool `json:"read,omitempty"`
-	// Leased marks a response served locally under a valid read lease.
-	// Clients use it to decide what a single signature is worth: a leased
-	// answer is backed by the lease machinery (quorum-acked self-lease or a
-	// grant-frontier check), while an unleased answer went through ordering
-	// on one replica's say-so and should be cross-checked by the f+1 vote.
-	Leased bool `json:"leased,omitempty"`
 	// Snapshot, Entries and Responses carry a catch-up transfer: Snapshot
 	// (when present) positions the receiver at sequence Seq in one jump,
 	// Entries is the ordered log suffix the receiver replays through its
-	// service, and Responses is the sender's response cache — shipped with
+	// service, and Responses is the sender's reply table — shipped with
 	// a snapshot so the jumped-over requests stay deduplicated (a replay
-	// rebuilds the cache itself; a jump cannot).
+	// rebuilds the table itself; a jump cannot).
 	Snapshot  []byte            `json:"snapshot,omitempty"`
 	Entries   []wireLogEntry    `json:"entries,omitempty"`
 	Responses map[string][]byte `json:"responses,omitempty"`
@@ -129,13 +127,9 @@ const defaultCatchupHistory = 512
 // Config.SnapshotEvery is zero.
 const defaultSnapshotEvery = 32
 
-// defaultRespCacheLimit is the response-cache retention bound when
-// Config.RespCacheLimit is zero — the same retry horizon pb uses.
-const defaultRespCacheLimit = 4096
-
 // storeSnapshot is the composite persisted in the store's snapshot slot: the
-// service state at the covered frontier plus the response cache, so a
-// recovered replica answers retries of jumped-over requests from cache
+// service state at the covered frontier plus the reply table, so a
+// recovered replica answers retries of jumped-over requests from it
 // instead of re-ordering them.
 type storeSnapshot struct {
 	Snapshot  []byte            `json:"snapshot"`
@@ -172,7 +166,7 @@ type Config struct {
 	// built to replace one that is gone for good, from a live peer's
 	// StateTransfer: the service restores InitialSnapshot, the sequence
 	// counters start just past InitialExecuted, and InitialResponses
-	// primes the response cache — state and sequence stay in lockstep,
+	// primes the reply table — state and sequence stay in lockstep,
 	// which restoring into the Service before New never could. A node
 	// seeded this way rejoins mid-history instead of claiming the group
 	// starts over at sequence one.
@@ -193,7 +187,7 @@ type Config struct {
 	AllowNondeterministic bool
 	// Store persists the order log and executed frontier: every executed
 	// entry is journaled and every SnapshotEvery-th execution rewrites the
-	// snapshot slot with the (state, response cache) pair, so a replica
+	// snapshot slot with the (state, reply table) pair, so a replica
 	// rebuilt over a non-empty store recovers from disk before leader-driven
 	// catch-up fills any remaining gap. Nil selects the in-memory no-op
 	// store (nothing durable — today's semantics).
@@ -203,14 +197,6 @@ type Config struct {
 	// length at recovery. Zero selects the default (32). Meaningless
 	// without a durable Store.
 	SnapshotEvery int
-	// RespCacheLimit bounds the response cache to the most recent k
-	// executed requests, evicted in insertion order. The cache is the
-	// retry horizon: a request retried within the horizon is answered
-	// from cache, one retried later re-enters the order protocol. The
-	// bound also caps what catch-up transfers and persisted snapshots
-	// ship — resync cost stops growing with total request history. Zero
-	// selects the default (4096); negative retains everything.
-	RespCacheLimit int
 	// Leases enables heartbeat-bounded read leases: requests tagged as
 	// reads (and classified read-only by the Service) are answered from
 	// local state by any replica holding a valid lease, without entering
@@ -289,16 +275,9 @@ type Replica struct {
 	nextAssign uint64 // leader: next sequence number to hand out
 	nextExec   uint64 // everyone: next sequence number to execute
 	log        map[uint64]orderEntry
-	ordered    map[string]bool // request IDs already sequenced (leader)
-	respCache  map[string][]byte
-	// respOrder tracks respCache insertion order for retry-horizon
-	// eviction (respLimit entries retained; 0 = unbounded); respSeen
-	// counts every insertion ever, so an evicted-empty cache is still
-	// distinguishable from a virgin one.
-	respOrder     []string
-	respLimit     int
-	respSeen      uint64
-	pending       map[string][]*netsim.Conn
+	// replies holds executed ids → payload, the leader's claim on each id
+	// it has sequenced but not yet executed, and the parked clients.
+	replies       *core.Replies
 	suspected     map[int]bool
 	lastHeartbeat time.Time
 	// Read-lease state. A follower's lease is the last granting heartbeat:
@@ -358,13 +337,6 @@ func New(cfg Config) (*Replica, error) {
 	if snapEvery == 0 {
 		snapEvery = defaultSnapshotEvery
 	}
-	respLimit := cfg.RespCacheLimit
-	switch {
-	case respLimit == 0:
-		respLimit = defaultRespCacheLimit
-	case respLimit < 0:
-		respLimit = 0 // unbounded
-	}
 	next := cfg.InitialExecuted + 1
 	r := &Replica{
 		cfg:        cfg,
@@ -376,10 +348,7 @@ func New(cfg Config) (*Replica, error) {
 		nextAssign: next,
 		hist:       core.NewWindow[orderEntry](next, histKeep),
 		log:        make(map[uint64]orderEntry),
-		ordered:    make(map[string]bool, len(cfg.InitialResponses)),
-		respCache:  make(map[string][]byte, len(cfg.InitialResponses)),
-		respLimit:  respLimit,
-		pending:    make(map[string][]*netsim.Conn),
+		replies:    core.NewReplies(core.ReplyHorizon),
 		suspected:  make(map[int]bool),
 		leaseFrom:  leaderUnknown,
 		leaseAcks:  make(map[int]time.Time),
@@ -396,10 +365,7 @@ func New(cfg Config) (*Replica, error) {
 		r.gExecuted = reg.Gauge("smr_executed_frontier" + node)
 		r.trace = reg.Ring(cfg.Addr, 0)
 	}
-	for _, id := range sortedIDs(cfg.InitialResponses) {
-		r.cacheRespLocked(id, cfg.InitialResponses[id])
-		r.ordered[id] = true
-	}
+	r.replies.Import(cfg.InitialResponses)
 	if cfg.JoinExisting && len(cfg.Peers) > 1 {
 		r.leaderIdx = leaderUnknown
 	}
@@ -423,41 +389,6 @@ func New(cfg Config) (*Replica, error) {
 		return nil, fmt.Errorf("smr: %w", err)
 	}
 	return r, nil
-}
-
-// sortedIDs returns the map's keys in sorted order, so bulk insertions into
-// the bounded response cache assign deterministic eviction positions no
-// matter the map iteration order.
-func sortedIDs(m map[string][]byte) []string {
-	ids := make([]string, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
-
-// cacheRespLocked records a response and evicts past the retry horizon in
-// insertion order, dropping the evicted IDs from the leader's dedup map
-// too — a request retried beyond the horizon re-enters the order protocol,
-// the same contract pb's bounded cache keeps. Only executed requests reach
-// the cache, so in-flight sequenced IDs are never evicted from ordered.
-// Caller holds r.mu.
-func (r *Replica) cacheRespLocked(id string, body []byte) {
-	if _, ok := r.respCache[id]; !ok {
-		r.respOrder = append(r.respOrder, id)
-		r.respSeen++
-	}
-	r.respCache[id] = body
-	if r.respLimit <= 0 {
-		return
-	}
-	for len(r.respOrder) > r.respLimit {
-		evicted := r.respOrder[0]
-		r.respOrder = r.respOrder[1:]
-		delete(r.respCache, evicted)
-		delete(r.ordered, evicted)
-	}
 }
 
 func lowestIndex(peers map[int]string, suspected map[int]bool) int {
@@ -506,7 +437,7 @@ func (r *Replica) Executed() uint64 {
 // StateTransfer captures a consistent (snapshot, executed, responses)
 // triple for seeding a replacement replica (Config.InitialSnapshot et al.):
 // taking execMu first freezes the executed frontier, so the snapshot, the
-// sequence count and the response cache all describe the same instant. Any
+// sequence count and the reply table all describe the same instant. Any
 // replica can donate — a donor behind the leader just leaves the
 // replacement a gap the ordinary catch-up transfer closes.
 func (r *Replica) StateTransfer() (snapshot []byte, executed uint64, responses map[string][]byte, err error) {
@@ -514,10 +445,7 @@ func (r *Replica) StateTransfer() (snapshot []byte, executed uint64, responses m
 	defer r.execMu.Unlock()
 	r.mu.Lock()
 	executed = r.nextExec - 1
-	responses = make(map[string][]byte, len(r.respCache))
-	for id, body := range r.respCache {
-		responses[id] = body
-	}
+	responses = r.replies.Export()
 	r.mu.Unlock()
 	snapshot, err = r.cfg.Service.Snapshot()
 	if err != nil {
@@ -544,7 +472,7 @@ const leaderUnknown = 1 << 30
 // Restart re-opens a stopped or crashed replica in place, mirroring
 // pb.Replica.Restart: the listener re-registers at the same address, the
 // serve loops come back, and the node rejoins with its executed log and
-// response cache retained. A multi-replica node rejoins with an unknown
+// reply table retained. A multi-replica node rejoins with an unknown
 // leader and adopts whichever leader heartbeats first — a restarted
 // lowest-index node must not reclaim the sequencer role with a stale
 // sequence counter while a failed-over leader is live. The first heartbeat
@@ -563,7 +491,7 @@ func (r *Replica) Rejoin() {
 	}
 	r.suspected = make(map[int]bool)
 	// Parked clients were disconnected by the shutdown; they resubmit.
-	r.pending = make(map[string][]*netsim.Conn)
+	r.replies.Unpark()
 	r.catchupFor = 0
 	r.lastHeartbeat = time.Now()
 	// Any lease predates the outage: revoked until the next grant.
@@ -597,11 +525,11 @@ func (r *Replica) RecoverFromStore() error {
 	r.execMu.Lock()
 	defer r.execMu.Unlock()
 	r.mu.Lock()
-	// respSeen, not len(respCache): a long-lived node whose bounded cache
+	// Seen, not an empty table: a long-lived node whose bounded table
 	// happens to be empty (or fully evicted) has still executed or been
 	// seeded — it must not be mistaken for a fresh node and anchored on
 	// the disk snapshot over its live protocol state.
-	virgin := r.nextExec == 1 && r.nextAssign == 1 && r.respSeen == 0
+	virgin := r.nextExec == 1 && r.nextAssign == 1 && !r.replies.Seen()
 	r.mu.Unlock()
 	if !virgin {
 		return nil
@@ -620,9 +548,7 @@ func (r *Replica) RecoverFromStore() error {
 			return fmt.Errorf("smr: recover restore: %w", err)
 		}
 		executed = rec.SnapshotSeq
-		for id, body := range comp.Responses {
-			resps[id] = body
-		}
+		maps.Copy(resps, comp.Responses)
 	}
 	for i, raw := range rec.Records {
 		seq := rec.LogStart + uint64(i)
@@ -636,11 +562,7 @@ func (r *Replica) RecoverFromStore() error {
 		if json.Unmarshal(raw, &e) != nil {
 			break
 		}
-		respBody, applyErr := r.cfg.Service.Apply(e.Body)
-		if applyErr != nil {
-			respBody = []byte("error: " + applyErr.Error())
-		}
-		resps[e.RequestID] = respBody
+		resps[e.RequestID] = core.Payload(r.cfg.Service.Apply(e.Body))
 		replayed = append(replayed, orderEntry{requestID: e.RequestID, body: e.Body})
 		executed = seq
 	}
@@ -658,10 +580,7 @@ func (r *Replica) RecoverFromStore() error {
 	for _, e := range replayed {
 		r.hist.Append(e)
 	}
-	for _, id := range sortedIDs(resps) {
-		r.cacheRespLocked(id, resps[id])
-		r.ordered[id] = true
-	}
+	r.replies.Import(resps)
 	if rec.HasSnapshot {
 		r.persistedSnap = rec.SnapshotSeq
 	}
@@ -680,7 +599,7 @@ func (r *Replica) HandleMessage(conn *netsim.Conn, raw []byte, replies [][]byte)
 		return replies
 	}
 	switch m.Type {
-	case msgRequest:
+	case core.MsgRequest:
 		r.handleRequest(conn, m)
 	case msgForward:
 		r.handleForward(m)
@@ -807,13 +726,10 @@ func (r *Replica) tryServeRead(conn *netsim.Conn, m wireMsg) bool {
 		r.execMu.Unlock()
 		return false
 	}
-	body, err := r.cfg.Service.Apply(m.Body)
+	payload := core.Payload(r.cfg.Service.Apply(m.Body))
 	r.execMu.Unlock()
-	if err != nil {
-		body = []byte("error: " + err.Error())
-	}
 	r.mLeaseReads.Inc()
-	r.replyTagged(conn, m.RequestID, body, true)
+	_ = conn.Send(core.EncodeReply(r.cfg.Keys, r.cfg.Index, m.RequestID, payload, true))
 	return true
 }
 
@@ -828,12 +744,12 @@ func (r *Replica) handleRequest(conn *netsim.Conn, m wireMsg) {
 		r.mOrderedReads.Inc()
 	}
 	r.mu.Lock()
-	if body, ok := r.respCache[m.RequestID]; ok {
+	if payload, ok := r.replies.Lookup(m.RequestID); ok {
 		r.mu.Unlock()
-		r.reply(conn, m.RequestID, body)
+		_ = conn.Send(core.EncodeReply(r.cfg.Keys, r.cfg.Index, m.RequestID, payload, false))
 		return
 	}
-	r.pending[m.RequestID] = append(r.pending[m.RequestID], conn)
+	r.replies.Park(m.RequestID, conn)
 	isLeader := r.leaderIdx == r.cfg.Index
 	leader := r.leaderIdx
 	r.mu.Unlock()
@@ -866,20 +782,15 @@ func (r *Replica) handleForward(m wireMsg) {
 // exploit probe), the followers must still receive — and share — the order.
 func (r *Replica) sequence(requestID string, body []byte) {
 	r.mu.Lock()
-	if r.ordered[requestID] {
+	if !r.replies.Claim(requestID) {
+		// Already sequenced here, or already executed — possibly under a
+		// previous sequencer's number, when this node was a follower. A
+		// retry forwarded by a lagging replica must not re-enter the order
+		// under a fresh number — the forwarder's parked client is answered
+		// when its own catch-up replays the original execution.
 		r.mu.Unlock()
 		return
 	}
-	if _, executed := r.respCache[requestID]; executed {
-		// Already executed under a previous sequencer's number (this node
-		// was a follower then, so its ordered map never saw it). A retry
-		// forwarded by a lagging replica must not re-enter the order under
-		// a fresh number — the forwarder's parked client is answered when
-		// its own catch-up replays the original execution.
-		r.mu.Unlock()
-		return
-	}
-	r.ordered[requestID] = true
 	seq := r.nextAssign
 	r.nextAssign++
 	r.mu.Unlock()
@@ -929,12 +840,7 @@ func (r *Replica) executeReady() {
 	r.execMu.Lock()
 	defer r.execMu.Unlock()
 
-	type executed struct {
-		requestID string
-		respBody  []byte
-		conns     []*netsim.Conn
-	}
-	var ready []executed
+	var ready []core.Waiting
 	for {
 		r.mu.Lock()
 		entry, ok := r.log[r.nextExec]
@@ -948,10 +854,7 @@ func (r *Replica) executeReady() {
 		r.mu.Unlock()
 		// Execute outside mu: Apply may be slow (execMu still held, so the
 		// executed frontier stays consistent for catch-up readers).
-		respBody, applyErr := r.cfg.Service.Apply(entry.body)
-		if applyErr != nil {
-			respBody = []byte("error: " + applyErr.Error())
-		}
+		payload := core.Payload(r.cfg.Service.Apply(entry.body))
 		if r.durable {
 			// Journal the sequenced request (not the response): recovery
 			// replays it through Apply, which the DSM precondition makes
@@ -962,12 +865,9 @@ func (r *Replica) executeReady() {
 			}
 		}
 		r.mu.Lock()
-		r.cacheRespLocked(entry.requestID, respBody)
+		ready = append(ready, r.replies.Record(entry.requestID, payload))
 		r.recordHistLocked(entry)
-		conns := r.pending[entry.requestID]
-		delete(r.pending, entry.requestID)
 		r.mu.Unlock()
-		ready = append(ready, executed{entry.requestID, respBody, conns})
 	}
 	if len(ready) > 0 {
 		r.mu.Lock()
@@ -978,11 +878,7 @@ func (r *Replica) executeReady() {
 		r.persistSnapshotIfDue()
 	}
 
-	for _, e := range ready {
-		for _, c := range e.conns {
-			r.reply(c, e.requestID, e.respBody)
-		}
-	}
+	core.Answer(r.cfg.Keys, r.cfg.Index, ready...)
 }
 
 // persistSnapshotIfDue folds the journal into the store's snapshot slot once
@@ -996,10 +892,7 @@ func (r *Replica) persistSnapshotIfDue() {
 		r.mu.Unlock()
 		return
 	}
-	responses := make(map[string][]byte, len(r.respCache))
-	for id, body := range r.respCache {
-		responses[id] = body
-	}
+	responses := r.replies.Export()
 	r.persistedSnap = frontier
 	r.mu.Unlock()
 	snap, err := r.cfg.Service.Snapshot()
@@ -1020,17 +913,6 @@ func (r *Replica) persistSnapshotIfDue() {
 // which trims itself to the configured size. Caller holds r.mu.
 func (r *Replica) recordHistLocked(entry orderEntry) {
 	r.hist.Append(entry)
-}
-
-func (r *Replica) reply(conn *netsim.Conn, requestID string, body []byte) {
-	r.replyTagged(conn, requestID, body, false)
-}
-
-// replyTagged is reply with an explicit leased marker: true only on the
-// lease-read fast path, never on ordered execution.
-func (r *Replica) replyTagged(conn *netsim.Conn, requestID string, body []byte, leased bool) {
-	resp := sig.SignServerResponse(r.cfg.Keys, requestID, body, r.cfg.Index)
-	_ = conn.Send(encode(wireMsg{Type: msgResponse, RequestID: requestID, Response: &resp, Leased: leased}))
 }
 
 // handleHeartbeat adopts the sender as leader when eligible and, with
@@ -1196,14 +1078,11 @@ func (r *Replica) buildCatchup(from uint64) []byte {
 		return encode(wireMsg{Type: msgCatchupResp, Seq: next, From: r.cfg.Index, Entries: entries})
 	}
 	// The gap predates the retained window: ship the whole state, plus the
-	// response cache — the receiver jumps over those requests without
-	// executing them, and must still answer their retries from cache
+	// reply table — the receiver jumps over those requests without
+	// executing them, and must still answer their retries from the table
 	// instead of re-running them under fresh sequence numbers. execMu is
 	// held, so no Apply can slide anything past the frontier read above.
-	responses := make(map[string][]byte, len(r.respCache))
-	for id, body := range r.respCache {
-		responses[id] = body
-	}
+	responses := r.replies.Export()
 	r.mu.Unlock()
 	snap, err := r.cfg.Service.Snapshot()
 	if err != nil {
@@ -1218,12 +1097,7 @@ func (r *Replica) buildCatchup(from uint64) []byte {
 // drains whatever later orders were buffered while the transfer ran.
 func (r *Replica) applyCatchup(m wireMsg) {
 	if len(m.Snapshot) > 0 {
-		type parked struct {
-			requestID string
-			body      []byte
-			conns     []*netsim.Conn
-		}
-		var answered []parked
+		var answered []core.Waiting
 		r.execMu.Lock()
 		r.mu.Lock()
 		if m.Seq > r.nextExec {
@@ -1242,31 +1116,15 @@ func (r *Replica) applyCatchup(m wireMsg) {
 				// The window restarts at the snapshot point.
 				r.hist.Reset(m.Seq)
 				// The jumped-over requests were never executed here; their
-				// retries must hit the transferred cache, not re-enter the
+				// retries must hit the transferred table, not re-enter the
 				// order protocol under new sequence numbers — and anyone
-				// already parked on one of them gets the cached answer now.
-				// The transfer carries the donor's bounded cache (its retry
-				// horizon), inserted in sorted order so eviction positions
-				// stay deterministic.
-				for _, id := range sortedIDs(m.Responses) {
-					if _, ok := r.respCache[id]; !ok {
-						r.cacheRespLocked(id, m.Responses[id])
-					}
-					r.ordered[id] = true
-					if conns := r.pending[id]; len(conns) > 0 {
-						delete(r.pending, id)
-						answered = append(answered, parked{id, r.respCache[id], conns})
-					}
-				}
+				// already parked on one of them gets the recorded answer now.
+				answered = r.replies.Import(m.Responses)
 				if r.durable {
 					// The jump invalidates the journaled prefix: persist the
 					// transferred state as the new snapshot slot and drop the
 					// records it supersedes.
-					responses := make(map[string][]byte, len(r.respCache))
-					for id, body := range r.respCache {
-						responses[id] = body
-					}
-					if b, err := json.Marshal(storeSnapshot{Snapshot: m.Snapshot, Responses: responses}); err == nil {
+					if b, err := json.Marshal(storeSnapshot{Snapshot: m.Snapshot, Responses: r.replies.Export()}); err == nil {
 						if r.store.WriteSnapshot(m.Seq-1, b) == nil {
 							_ = r.store.TruncateTo(store.TruncateAll)
 						}
@@ -1277,11 +1135,7 @@ func (r *Replica) applyCatchup(m wireMsg) {
 		}
 		r.mu.Unlock()
 		r.execMu.Unlock()
-		for _, p := range answered {
-			for _, c := range p.conns {
-				r.reply(c, p.requestID, p.body)
-			}
-		}
+		core.Answer(r.cfg.Keys, r.cfg.Index, answered...)
 	}
 	if len(m.Entries) > 0 {
 		r.mCatchupReplay.Inc()
@@ -1347,7 +1201,7 @@ func (c *Client) Invoke(requestID string, body []byte) ([]byte, error) {
 	results := make(chan result, len(c.addrs))
 	for idx, addr := range c.addrs {
 		go func(idx int, addr string) {
-			resp, err := request(c.net, fmt.Sprintf("%s-to-%d", c.from, idx), addr, requestID, body, c.timeout)
+			resp, _, err := core.Request(c.net, fmt.Sprintf("%s-to-%d", c.from, idx), addr, requestID, body, false, c.timeout)
 			results <- result{idx, resp, err}
 		}(idx, addr)
 	}
@@ -1399,7 +1253,7 @@ func (c *Client) InvokeRead(requestID string, body []byte) ([]byte, error) {
 	for n := 0; n < len(c.sorted); n++ {
 		idx := c.sorted[(start+n)%len(c.sorted)]
 		addr := c.addrs[idx]
-		resp, leased, err := requestTagged(c.net, fmt.Sprintf("%s-to-%d", c.from, idx), addr, requestID, body, true, c.timeout)
+		resp, leased, err := core.Request(c.net, fmt.Sprintf("%s-to-%d", c.from, idx), addr, requestID, body, true, c.timeout)
 		if err != nil {
 			continue
 		}
@@ -1439,43 +1293,4 @@ func Vote(responses []sig.ServerResponse, f int) ([]byte, error) {
 		}
 	}
 	return nil, ErrNoQuorum
-}
-
-// request mirrors pb.Request but speaks the smr wire format.
-func request(net *netsim.Network, from, addr, requestID string, body []byte, timeout time.Duration) (sig.ServerResponse, error) {
-	resp, _, err := requestTagged(net, from, addr, requestID, body, false, timeout)
-	return resp, err
-}
-
-// requestTagged is request with an explicit read tag; the second return
-// reports whether the response was served under a valid read lease.
-func requestTagged(net *netsim.Network, from, addr, requestID string, body []byte, read bool, timeout time.Duration) (sig.ServerResponse, bool, error) {
-	conn, err := net.Dial(from, addr)
-	if err != nil {
-		return sig.ServerResponse{}, false, err
-	}
-	defer conn.Close()
-	if err := conn.Send(encode(wireMsg{Type: msgRequest, RequestID: requestID, Body: body, Read: read})); err != nil {
-		return sig.ServerResponse{}, false, err
-	}
-	deadline := time.Now().Add(timeout)
-	for {
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			return sig.ServerResponse{}, false, netsim.ErrTimeout
-		}
-		raw, err := conn.RecvTimeout(remaining)
-		if err != nil {
-			return sig.ServerResponse{}, false, err
-		}
-		var m wireMsg
-		uerr := json.Unmarshal(raw, &m)
-		netsim.Release(raw) // decoded: json copied every field out of raw
-		if uerr != nil {
-			continue
-		}
-		if m.Type == msgResponse && m.RequestID == requestID && m.Response != nil {
-			return *m.Response, m.Leased, nil
-		}
-	}
 }

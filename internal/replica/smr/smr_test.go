@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"fortress/internal/netsim"
+	"fortress/internal/replica/core"
 	"fortress/internal/service"
 	"fortress/internal/sig"
 	"fortress/internal/xrand"
@@ -256,7 +257,7 @@ func TestApplicationErrorsAgree(t *testing.T) {
 func TestFollowerForwardsToLeader(t *testing.T) {
 	// A request reaching only a follower still gets executed via forwarding.
 	net, reps, _ := cluster(t, 4, func(int) service.Service { return service.NewCounter() }, false)
-	resp, err := request(net, "c", reps[2].Addr(), "fwd", []byte("add 9"), reqTimeout)
+	resp, _, err := core.Request(net, "c", reps[2].Addr(), "fwd", []byte("add 9"), false, reqTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
