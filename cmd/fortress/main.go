@@ -87,8 +87,10 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -141,17 +143,6 @@ func run(args []string) error {
 	}
 }
 
-// resyncFlags registers the server-tier resync knobs shared by the live
-// sweeps: the PB delta stream's checkpoint cadence and the retained resync
-// window (PB unacked-delta retransmission, SMR catch-up log suffix).
-func resyncFlags(fs *flag.FlagSet) (checkpointEvery, updateWindow *int) {
-	checkpointEvery = fs.Int("checkpoint-every", 0,
-		"PB update-stream checkpoint cadence: every k-th update ships a full snapshot instead of a delta (0 = engine default 32, 1 = classic full-snapshot-per-update stream)")
-	updateWindow = fs.Int("update-window", 0,
-		"retained resync history: the PB primary's unacked deltas and the SMR leader's catch-up log suffix (0 = engine defaults 256/512, negative = retain nothing, forcing checkpoint/snapshot resyncs)")
-	return checkpointEvery, updateWindow
-}
-
 func commonFlags(fs *flag.FlagSet) (trials, seed *uint64, workers *int) {
 	trials = fs.Uint64("trials", 100000, "Monte-Carlo trials per cell (0 = analytic only)")
 	seed = fs.Uint64("seed", 1, "simulation seed")
@@ -174,7 +165,7 @@ func runFig1(args []string) error {
 	}
 	fmt.Println("# Figure 1 — expected lifetime comparison (κ =", experiments.Figure1Kappa, "for S2PO)")
 	fmt.Print(experiments.FormatResults(results))
-	return writeCSVFile(*csvPath, results)
+	return writeCSVFile(*csvPath, func(w io.Writer) error { return experiments.WriteCSV(w, results) })
 }
 
 func runFig2(args []string) error {
@@ -191,11 +182,12 @@ func runFig2(args []string) error {
 	}
 	fmt.Println("# Figure 2 — EL of S2PO as κ varies (plot on a log scale)")
 	fmt.Print(experiments.FormatResults(results))
-	return writeCSVFile(*csvPath, results)
+	return writeCSVFile(*csvPath, func(w io.Writer) error { return experiments.WriteCSV(w, results) })
 }
 
-// writeCSVFile writes results to path, or does nothing for an empty path.
-func writeCSVFile(path string, results []experiments.Result) error {
+// writeCSVFile writes a CSV file through write, or does nothing for an
+// empty path.
+func writeCSVFile(path string, write func(io.Writer) error) error {
 	if path == "" {
 		return nil
 	}
@@ -203,9 +195,12 @@ func writeCSVFile(path string, results []experiments.Result) error {
 	if err != nil {
 		return fmt.Errorf("create %s: %w", path, err)
 	}
-	defer f.Close()
-	if err := experiments.WriteCSV(f, results); err != nil {
+	if err := write(f); err != nil {
+		f.Close()
 		return fmt.Errorf("write %s: %w", path, err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("close %s: %w", path, err)
 	}
 	fmt.Println("# CSV written to", path)
 	return nil
@@ -328,253 +323,141 @@ func runDemo(args []string) error {
 	return nil
 }
 
-// parseIntList parses a comma-separated list of non-negative ints ("2,3,4").
-func parseIntList(s string) ([]int, error) {
+// listFlag is a comma-separated grid flag, parsed entry by entry into
+// *dst; an empty value leaves the grid empty.
+type listFlag[T any] struct {
+	dst   *[]T
+	parse func(string) (T, error)
+}
+
+func list[T any](dst *[]T, parse func(string) (T, error)) listFlag[T] { return listFlag[T]{dst, parse} }
+
+func (l listFlag[T]) String() string {
+	if l.dst == nil {
+		return ""
+	}
+	parts := make([]string, len(*l.dst))
+	for i, v := range *l.dst {
+		parts[i] = fmt.Sprint(v)
+	}
+	return strings.Join(parts, ",")
+}
+
+func (l listFlag[T]) Set(s string) error {
+	*l.dst = nil
 	if s == "" {
-		return nil, nil
+		return nil
 	}
-	parts := strings.Split(s, ",")
-	out := make([]int, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.ParseInt(strings.TrimSpace(p), 10, 31)
-		if err != nil || v < 0 {
-			return nil, fmt.Errorf("invalid list entry %q", p)
-		}
-		out = append(out, int(v))
-	}
-	return out, nil
-}
-
-// parseGroupList parses a comma-separated replica-group-count grid,
-// rejecting entries below one.
-func parseGroupList(s string) ([]int, error) {
-	out, err := parseIntList(s)
-	if err != nil {
-		return nil, err
-	}
-	for _, g := range out {
-		if g < 1 {
-			return nil, fmt.Errorf("group count %d must be at least 1", g)
-		}
-	}
-	return out, nil
-}
-
-// parseUint64List parses a comma-separated list of uint64s ("0,1,2").
-func parseUint64List(s string) ([]uint64, error) {
-	if s == "" {
-		return nil, nil
-	}
-	parts := strings.Split(s, ",")
-	out := make([]uint64, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.ParseUint(strings.TrimSpace(p), 10, 64)
+	for _, p := range strings.Split(s, ",") {
+		v, err := l.parse(strings.TrimSpace(p))
 		if err != nil {
-			return nil, fmt.Errorf("invalid list entry %q", p)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func runCampaign(args []string) error {
-	fs := flag.NewFlagSet("campaign", flag.ContinueOnError)
-	reps := fs.Int("reps", 8, "campaign repetitions per grid cell")
-	workers := fs.Int("workers", runtime.GOMAXPROCS(0),
-		"concurrent repetitions/cells (results are identical at any value; repetitions are latency-bound, so values above the core count help)")
-	chi := fs.Uint64("chi", 24, "key space size χ (small so live campaigns terminate)")
-	steps := fs.Uint64("steps", 40, "campaign horizon in unit time-steps")
-	po := fs.Bool("po", false, "re-randomize every step (proactive obfuscation)")
-	omegaD := fs.Uint64("omega-direct", 2, "direct probes per step")
-	servers := fs.Int("servers", 3, "per-group server count n_s")
-	backendList := fs.String("backend", "pb",
-		"comma-separated server-tier replication backends (pb, smr); smr cells replay the same campaigns against a state-machine-replicated tier with leader-driven catch-up")
-	proxiesList := fs.String("proxies", "2,3,4", "comma-separated proxy-count grid")
-	groupsList := fs.String("groups", "1",
-		"comma-separated replica-group-count grid: each cell consistent-hashes the request keyspace across this many independent replica groups behind the shared proxy tier (1 = classic single-group fortress)")
-	pacingList := fs.String("pacing", "0,1,2", "comma-separated indirect-probe (κ·ω) grid")
-	detector := fs.String("detector", "both", "detector grid: off, on, or both")
-	threshold := fs.Int("detector-threshold", 8, "invalid requests before a probe source is flagged")
-	workloadList := fs.String("workload", "", workloadFlagHelp()+
-		"\nempty = no measurement workload at all (the historical sweep); naming presets (or setting -read-frac) turns availability + latency measurement on")
-	readFracList := fs.String("read-frac", "",
-		"comma-separated read-share grid overriding each workload preset's own mix ([0,1]; 0 = all writes); empty keeps every preset's mix")
-	leasesGrid := fs.String("leases", "off",
-		"read-lease grid: off, on, or both — on deploys the server tier with heartbeat-bounded read leases (smr backend only; pb ignores it) so lease holders answer reads locally instead of ordering them")
-	checkpointEvery, updateWindow := resyncFlags(fs)
-	seed := fs.Uint64("seed", 1, "simulation seed")
-	csvPath := fs.String("csv", "", "also write the sweep to this CSV file")
-	metricsOut := fs.String("metrics-out", "",
-		"also write each cell's merged runtime-metrics snapshot (JSON array; observational only, the counters section is deterministic at any -workers) to this file")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *checkpointEvery < 0 {
-		return fmt.Errorf("-checkpoint-every must be non-negative, got %d", *checkpointEvery)
-	}
-	// The sweep config treats zero fields as "use the default", so explicit
-	// zeros on the command line must be rejected here, not silently
-	// rewritten — except -omega-direct, where zero is a real configuration
-	// (an indirect-only sweep) the config layer passes through untouched.
-	if *reps <= 0 {
-		return fmt.Errorf("-reps must be at least 1, got %d", *reps)
-	}
-	if *threshold <= 0 {
-		return fmt.Errorf("-detector-threshold must be at least 1, got %d", *threshold)
-	}
-	if *chi == 0 {
-		return errors.New("-chi must be at least 1")
-	}
-	if *steps == 0 {
-		return errors.New("-steps must be at least 1")
-	}
-	if *servers <= 0 {
-		return fmt.Errorf("-servers must be at least 1, got %d", *servers)
-	}
-	backends, err := parseBackendList(*backendList)
-	if err != nil {
-		return fmt.Errorf("-backend: %w", err)
-	}
-	proxyCounts, err := parseIntList(*proxiesList)
-	if err != nil {
-		return fmt.Errorf("-proxies: %w", err)
-	}
-	groups, err := parseGroupList(*groupsList)
-	if err != nil {
-		return fmt.Errorf("-groups: %w", err)
-	}
-	pacings, err := parseUint64List(*pacingList)
-	if err != nil {
-		return fmt.Errorf("-pacing: %w", err)
-	}
-	var detectors []bool
-	switch *detector {
-	case "off":
-		detectors = []bool{false}
-	case "on":
-		detectors = []bool{true}
-	case "both":
-		detectors = []bool{false, true}
-	default:
-		return fmt.Errorf("-detector must be off, on or both, got %q", *detector)
-	}
-	workloads, err := parseWorkloadList(*workloadList)
-	if err != nil {
-		return fmt.Errorf("-workload: %w", err)
-	}
-	readFracs, err := parseReadFracList(*readFracList)
-	if err != nil {
-		return fmt.Errorf("-read-frac: %w", err)
-	}
-	leases, err := parseLeasesGrid(*leasesGrid)
-	if err != nil {
-		return fmt.Errorf("-leases: %w", err)
-	}
-	cfg := experiments.LiveCampaignConfig{
-		Chi:               *chi,
-		Reps:              *reps,
-		Seed:              *seed,
-		Workers:           *workers,
-		MaxSteps:          *steps,
-		Rerandomize:       *po,
-		OmegaDirect:       *omegaD,
-		Servers:           *servers,
-		Groups:            groups,
-		Backends:          backends,
-		ProxyCounts:       proxyCounts,
-		Detectors:         detectors,
-		Pacings:           pacings,
-		DetectorThreshold: *threshold,
-		CheckpointEvery:   *checkpointEvery,
-		UpdateWindow:      *updateWindow,
-		WorkloadAxes: experiments.WorkloadAxes{
-			Workloads: workloads,
-			ReadFracs: readFracs,
-			Leases:    leases,
-		},
-		CollectMetrics: *metricsOut != "",
-	}
-	rows, err := experiments.LiveCampaign(cfg)
-	if err != nil {
-		return err
-	}
-	mode := "SO (start-up-only randomization)"
-	if *po {
-		mode = "PO (re-randomize every step)"
-	}
-	fmt.Printf("# live-campaign sweep: χ=%d, %d reps/cell, horizon %d steps, ω_direct=%d, %s\n",
-		*chi, *reps, *steps, *omegaD, mode)
-	fmt.Print(experiments.FormatLiveCampaign(rows))
-	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
-		if err != nil {
-			return fmt.Errorf("create %s: %w", *csvPath, err)
-		}
-		defer f.Close()
-		if err := experiments.WriteLiveCampaignCSV(f, rows); err != nil {
-			return fmt.Errorf("write %s: %w", *csvPath, err)
-		}
-		fmt.Println("# CSV written to", *csvPath)
-	}
-	if *metricsOut != "" {
-		cells := make([]experiments.CellMetrics, 0, len(rows))
-		for _, r := range rows {
-			if r.Metrics == nil {
-				continue
-			}
-			cells = append(cells, experiments.CellMetrics{
-				Cell: fmt.Sprintf("backend=%s proxies=%d groups=%d detector=%t pace=%d workload=%s readfrac=%g leases=%t",
-					r.Backend, r.Proxies, r.Groups, r.Detector, r.OmegaIndirect, r.Workload, r.ReadFrac, r.Leases),
-				Snapshot: *r.Metrics,
-			})
-		}
-		if err := experiments.WriteCellMetricsJSON(*metricsOut, cells); err != nil {
 			return err
 		}
-		fmt.Println("# metrics written to", *metricsOut)
+		*l.dst = append(*l.dst, v)
 	}
 	return nil
 }
 
-// parseBackendList parses a comma-separated list of replication backend
-// names, validating each against the known backends.
-func parseBackendList(s string) ([]string, error) {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		name := strings.TrimSpace(p)
-		if name == "" {
-			continue
+// entry parses one list entry with parse and accepts it only if ok.
+func entry[T any](parse func(string) (T, error), ok func(T) bool) func(string) (T, error) {
+	return func(s string) (T, error) {
+		v, err := parse(s)
+		if err != nil || !ok(v) {
+			return v, fmt.Errorf("invalid list entry %q", s)
 		}
-		if _, err := replica.ParseBackend(name); err != nil {
-			return nil, fmt.Errorf("%w (available: %s)", err, strings.Join(replica.BackendNames(), ", "))
-		}
-		out = append(out, name)
+		return v, nil
 	}
-	if len(out) == 0 {
-		return nil, errors.New("must name at least one backend")
-	}
-	return out, nil
 }
 
-// parseFloatList parses a comma-separated list of non-negative floats.
-func parseFloatList(s string) ([]float64, error) {
-	if s == "" {
-		return nil, nil
-	}
-	parts := strings.Split(s, ",")
-	out := make([]float64, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil || v < 0 {
-			return nil, fmt.Errorf("invalid list entry %q", p)
+// oneOf accepts the entries that name one of names.
+func oneOf(names []string) func(string) (string, error) {
+	return func(s string) (string, error) {
+		if !slices.Contains(names, s) {
+			return "", fmt.Errorf("unknown %q (available: %s)", s, strings.Join(names, ", "))
 		}
-		out = append(out, v)
+		return s, nil
 	}
-	return out, nil
 }
 
-// workloadFlagHelp documents the named workload presets shared by the
-// campaign and faults -workload flags.
+func atoi(s string) (int, error) {
+	v, err := strconv.ParseInt(s, 10, 31)
+	return int(v), err
+}
+
+func parseUint(s string) (uint64, error) { return strconv.ParseUint(s, 10, 64) }
+
+func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
+
+// The entry parsers of the grid flags.
+var (
+	counts     = entry(atoi, func(v int) bool { return v >= 0 })
+	groups     = entry(atoi, func(v int) bool { return v >= 1 })
+	uints      = entry(parseUint, func(uint64) bool { return true })
+	rates      = entry(parseFloat, func(v float64) bool { return v >= 0 })
+	fractions  = entry(parseFloat, func(v float64) bool { return v >= 0 && v <= 1 })
+	onOffGrids = map[string][]bool{"off": {false}, "on": {true}, "both": {false, true}}
+)
+
+// onOff is an off/on/both grid flag over *dst.
+type onOff struct{ dst *[]bool }
+
+func (g onOff) String() string {
+	for name, grid := range onOffGrids {
+		if g.dst != nil && slices.Equal(grid, *g.dst) {
+			return name
+		}
+	}
+	return ""
+}
+
+func (g onOff) Set(s string) error {
+	grid, ok := onOffGrids[s]
+	if !ok {
+		return fmt.Errorf("must be off, on or both, got %q", s)
+	}
+	*g.dst = grid
+	return nil
+}
+
+// sweepOut holds the output paths both sweeps take.
+type sweepOut struct{ csv, metrics string }
+
+// sweepFlags registers the flags campaign and faults share. Each writes
+// into cfg and takes cfg's value as its default, so a subcommand's
+// defaults are those of its default SweepConfig.
+func sweepFlags(name string, cfg *experiments.SweepConfig, workloadHelp string) (*flag.FlagSet, *sweepOut) {
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	out := &sweepOut{}
+	fs.IntVar(&cfg.Reps, "reps", cfg.Reps, "campaign repetitions per grid cell")
+	fs.IntVar(&cfg.Workers, "workers", runtime.GOMAXPROCS(0),
+		"concurrent repetitions/cells (results are identical at any value; repetitions are latency-bound, so values above the core count help)")
+	fs.Uint64Var(&cfg.Chi, "chi", cfg.Chi, "key space size χ (small so live campaigns terminate)")
+	fs.Uint64Var(&cfg.MaxSteps, "steps", cfg.MaxSteps, "campaign horizon in unit time-steps (fault presets scale to it)")
+	fs.BoolVar(&cfg.Rerandomize, "po", cfg.Rerandomize, "re-randomize every step (proactive obfuscation)")
+	fs.Uint64Var(&cfg.OmegaDirect, "omega-direct", cfg.OmegaDirect, "direct probes per step")
+	fs.IntVar(&cfg.Servers, "servers", cfg.Servers, "per-group server count n_s")
+	fs.Var(list(&cfg.Backends, oneOf(replica.BackendNames())), "backend",
+		"comma-separated server-tier replication backends (pb, smr); smr cells replay the same campaigns and fault schedules against a state-machine-replicated tier whose restarted replicas catch up from the leader")
+	fs.Var(list(&cfg.ProxyCounts, counts), "proxies", "comma-separated proxy-count grid")
+	fs.Var(list(&cfg.Groups, groups), "groups",
+		"comma-separated replica-group-count grid: each cell consistent-hashes the request keyspace across this many independent replica groups behind the shared proxy tier, reporting per-shard availability next to the aggregate (1 = classic single-group fortress; pair with -preset shard-cut to dark one shard)")
+	fs.Var(list(&cfg.Workloads, oneOf(workload.PresetNames())), "workload", workloadFlagHelp()+workloadHelp)
+	fs.Var(list(&cfg.ReadFracs, fractions), "read-frac",
+		"comma-separated read-share grid overriding each workload preset's own mix ([0,1]; 0 = all writes); empty keeps every preset's mix")
+	fs.Var(onOff{&cfg.Leases}, "leases",
+		"read-lease grid: off, on, or both — on deploys the server tier with heartbeat-bounded read leases (smr backend only; pb ignores it) so lease holders answer reads locally instead of ordering them")
+	fs.IntVar(&cfg.CheckpointEvery, "checkpoint-every", cfg.CheckpointEvery,
+		"PB update-stream checkpoint cadence: every k-th update ships a full snapshot instead of a delta (0 = engine default 32, 1 = classic full-snapshot-per-update stream)")
+	fs.IntVar(&cfg.UpdateWindow, "update-window", cfg.UpdateWindow,
+		"retained resync history: the PB primary's unacked deltas and the SMR leader's catch-up log suffix (0 = engine defaults 256/512, negative = retain nothing, forcing checkpoint/snapshot resyncs)")
+	fs.Uint64Var(&cfg.Seed, "seed", cfg.Seed, "simulation seed")
+	fs.StringVar(&out.csv, "csv", "", "also write the sweep to this CSV file")
+	fs.StringVar(&out.metrics, "metrics-out", "",
+		"also write each cell's merged runtime-metrics snapshot (JSON array; observational only, the counters section is deterministic at any -workers) to this file")
+	return fs, out
+}
+
+// workloadFlagHelp documents the named workload presets behind -workload.
 func workloadFlagHelp() string {
 	var b strings.Builder
 	b.WriteString("comma-separated measurement-workload presets (each cell reports availability plus virtual-latency p50/p99/p999 columns); available:")
@@ -584,234 +467,95 @@ func workloadFlagHelp() string {
 	return b.String()
 }
 
-// parseWorkloadList validates a comma-separated preset list against the
-// workload catalog.
-func parseWorkloadList(s string) ([]string, error) {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		name := strings.TrimSpace(p)
-		if name == "" {
-			continue
-		}
-		if _, err := workload.PresetByName(name); err != nil {
-			return nil, fmt.Errorf("%w (available: %s)", err, strings.Join(workload.PresetNames(), ", "))
-		}
-		out = append(out, name)
+func runCampaign(args []string) error {
+	cfg := experiments.DefaultCampaignSweep()
+	fs, out := sweepFlags("campaign", &cfg,
+		"\nempty = no measurement workload at all (the historical sweep); naming presets (or setting -read-frac) turns availability + latency measurement on")
+	fs.Var(list(&cfg.Pacings, uints), "pacing", "comma-separated indirect-probe (κ·ω) grid")
+	fs.Var(onOff{&cfg.Detectors}, "detector", "detector grid: off, on, or both")
+	fs.IntVar(&cfg.DetectorThreshold, "detector-threshold", cfg.DetectorThreshold, "invalid requests before a probe source is flagged")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
-	return out, nil
-}
-
-// parseReadFracList parses the shared -read-frac grid of [0,1] fractions.
-func parseReadFracList(s string) ([]float64, error) {
-	fracs, err := parseFloatList(s)
-	if err != nil {
-		return nil, err
+	if cfg.DetectorThreshold <= 0 {
+		return fmt.Errorf("-detector-threshold must be at least 1, got %d", cfg.DetectorThreshold)
 	}
-	for _, f := range fracs {
-		if f > 1 {
-			return nil, fmt.Errorf("entries must be in [0,1], got %g", f)
-		}
-	}
-	return fracs, nil
-}
-
-// parseLeasesGrid parses the shared off/on/both read-lease grid flag.
-func parseLeasesGrid(s string) ([]bool, error) {
-	switch s {
-	case "off":
-		return []bool{false}, nil
-	case "on":
-		return []bool{true}, nil
-	case "both":
-		return []bool{false, true}, nil
-	}
-	return nil, fmt.Errorf("must be off, on or both, got %q", s)
+	return runSweep(cfg, out, "live-campaign sweep", fmt.Sprintf("ω_direct=%d", cfg.OmegaDirect))
 }
 
 func runFaults(args []string) error {
-	fs := flag.NewFlagSet("faults", flag.ContinueOnError)
+	cfg := experiments.DefaultFaultSweep()
+	fs, out := sweepFlags("faults", &cfg, "")
 	var presetHelp strings.Builder
 	presetHelp.WriteString("comma-separated fault-schedule presets; available:")
 	for _, p := range faults.Presets() {
 		fmt.Fprintf(&presetHelp, "\n  %-18s %s", p.Name, p.Description)
 	}
-	presets := fs.String("preset", strings.Join(experiments.DefaultFaultSweepConfig().Presets, ","), presetHelp.String())
-	reps := fs.Int("reps", 4, "campaign repetitions per grid cell")
-	workers := fs.Int("workers", runtime.GOMAXPROCS(0),
-		"concurrent repetitions/cells (zero-drop cells are byte-identical at any value)")
-	chi := fs.Uint64("chi", 24, "key space size χ (small so live campaigns terminate)")
-	steps := fs.Uint64("steps", 24, "campaign horizon in unit time-steps (presets scale to it)")
-	po := fs.Bool("po", false, "re-randomize every step (proactive obfuscation)")
-	omegaD := fs.Uint64("omega-direct", 2, "direct probes per step")
-	omegaI := fs.Uint64("omega-indirect", 1, "indirect probes per step")
-	servers := fs.Int("servers", 3, "per-group server count n_s")
-	backendList := fs.String("backend", "pb",
-		"comma-separated server-tier replication backends (pb, smr); pb,smr replays every fault schedule against both tiers for a PB-vs-SMR availability comparison, with restarted smr replicas catching up from the leader")
-	proxiesList := fs.String("proxies", "3", "comma-separated proxy-count grid")
-	groupsList := fs.String("groups", "1",
-		"comma-separated replica-group-count grid: each cell consistent-hashes the request keyspace across this many independent replica groups behind the shared proxy tier, reporting per-shard availability next to the aggregate (1 = classic single-group fortress; pair with -preset shard-cut to dark one shard)")
-	dropsList := fs.String("drops", "0", "comma-separated drop-rate grid (per-directed-pair drop streams keep positive-rate cells bitwise reproducible at any -workers)")
-	persistList := fs.String("persist", "mem",
+	fs.Var(list(&cfg.Presets, oneOf(faults.PresetNames())), "preset", presetHelp.String())
+	omegaI := fs.Uint64("omega-indirect", cfg.Pacings[0], "indirect probes per step")
+	fs.Var(list(&cfg.DropRates, rates), "drops",
+		"comma-separated drop-rate grid (per-directed-pair drop streams keep positive-rate cells bitwise reproducible at any -workers)")
+	fs.Var(list(&cfg.Persist, oneOf([]string{"mem", "wal"})), "persist",
 		"comma-separated persistence grid (mem, wal); mem is the zero-allocation in-memory default that a blackout wipes, wal gives every server a write-ahead log plus snapshot recovered from disk on restart — mem,wal turns the sweep into a durability comparison")
-	fsyncList := fs.String("fsync-every", "1",
+	fs.Var(list(&cfg.FsyncEvery, counts), "fsync-every",
 		"comma-separated WAL sync-cadence grid: every n-th append fsyncs, so a power failure loses at most n-1 records; only wal cells fan out over it")
-	jitterList := fs.String("jitter", "0",
+	fs.Var(list(&cfg.Jitters, uints), "jitter",
 		"comma-separated schedule-jitter grid: max forward delay, in steps, applied per fault event from each repetition's own stream (0 = replay presets exactly)")
-	workloadList := fs.String("workload", "closed", workloadFlagHelp())
-	readFracList := fs.String("read-frac", "",
-		"comma-separated read-share grid overriding each workload preset's own mix ([0,1]; 0 = all writes); empty keeps every preset's mix")
-	leasesGrid := fs.String("leases", "off",
-		"read-lease grid: off, on, or both — on deploys the server tier with heartbeat-bounded read leases (smr backend only; pb ignores it)")
-	persistRoot := fs.String("persist-root", "",
+	fs.StringVar(&cfg.PersistRoot, "persist-root", cfg.PersistRoot,
 		"root directory for wal cell stores, kept for inspection (default: a temporary directory removed after the sweep)")
-	checkpointEvery, updateWindow := resyncFlags(fs)
-	seed := fs.Uint64("seed", 1, "simulation seed")
-	csvPath := fs.String("csv", "", "also write the sweep to this CSV file")
-	metricsOut := fs.String("metrics-out", "",
-		"also write each cell's merged runtime-metrics snapshot (JSON array; observational only, the counters section is deterministic at any -workers) to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *checkpointEvery < 0 {
-		return fmt.Errorf("-checkpoint-every must be non-negative, got %d", *checkpointEvery)
-	}
-	if *reps <= 0 {
-		return fmt.Errorf("-reps must be at least 1, got %d", *reps)
-	}
-	if *chi == 0 {
-		return errors.New("-chi must be at least 1")
-	}
-	if *steps == 0 {
-		return errors.New("-steps must be at least 1")
-	}
-	if *servers <= 0 {
-		return fmt.Errorf("-servers must be at least 1, got %d", *servers)
-	}
-	var presetNames []string
-	for _, p := range strings.Split(*presets, ",") {
-		name := strings.TrimSpace(p)
-		if name == "" {
-			continue
-		}
-		if _, err := faults.PresetByName(name); err != nil {
-			return fmt.Errorf("-preset: %w (available: %s)", err, strings.Join(faults.PresetNames(), ", "))
-		}
-		presetNames = append(presetNames, name)
-	}
-	if len(presetNames) == 0 {
+	if len(cfg.Presets) == 0 {
 		return errors.New("-preset must name at least one preset")
 	}
-	backends, err := parseBackendList(*backendList)
-	if err != nil {
-		return fmt.Errorf("-backend: %w", err)
-	}
-	proxyCounts, err := parseIntList(*proxiesList)
-	if err != nil {
-		return fmt.Errorf("-proxies: %w", err)
-	}
-	groups, err := parseGroupList(*groupsList)
-	if err != nil {
-		return fmt.Errorf("-groups: %w", err)
-	}
-	drops, err := parseFloatList(*dropsList)
-	if err != nil {
-		return fmt.Errorf("-drops: %w", err)
-	}
-	var persist []string
-	for _, p := range strings.Split(*persistList, ",") {
-		if name := strings.TrimSpace(p); name != "" {
-			persist = append(persist, name)
-		}
-	}
-	fsyncs, err := parseIntList(*fsyncList)
-	if err != nil {
-		return fmt.Errorf("-fsync-every: %w", err)
-	}
-	jitters, err := parseUint64List(*jitterList)
-	if err != nil {
-		return fmt.Errorf("-jitter: %w", err)
-	}
-	workloads, err := parseWorkloadList(*workloadList)
-	if err != nil {
-		return fmt.Errorf("-workload: %w", err)
-	}
-	if len(workloads) == 0 {
+	if len(cfg.Workloads) == 0 {
 		return errors.New("-workload must name at least one preset")
 	}
-	readFracs, err := parseReadFracList(*readFracList)
-	if err != nil {
-		return fmt.Errorf("-read-frac: %w", err)
+	cfg.Pacings = []uint64{*omegaI}
+	return runSweep(cfg, out, "fault sweep", fmt.Sprintf("ω_direct=%d, ω_indirect=%d", cfg.OmegaDirect, *omegaI))
+}
+
+// runSweep runs a parsed campaign or faults sweep and prints its table,
+// then writes the CSV and metrics files it was asked for.
+func runSweep(cfg experiments.SweepConfig, out *sweepOut, title, budget string) error {
+	// The sweep treats zero fields as "use the default", so explicit zeros
+	// on the command line are rejected here, not silently rewritten, except
+	// -omega-direct, where zero is a real (indirect-only) configuration.
+	switch {
+	case cfg.CheckpointEvery < 0:
+		return fmt.Errorf("-checkpoint-every must be non-negative, got %d", cfg.CheckpointEvery)
+	case cfg.Reps <= 0:
+		return fmt.Errorf("-reps must be at least 1, got %d", cfg.Reps)
+	case cfg.Chi == 0:
+		return errors.New("-chi must be at least 1")
+	case cfg.MaxSteps == 0:
+		return errors.New("-steps must be at least 1")
+	case cfg.Servers <= 0:
+		return fmt.Errorf("-servers must be at least 1, got %d", cfg.Servers)
+	case len(cfg.Backends) == 0:
+		return errors.New("-backend must name at least one backend")
 	}
-	leases, err := parseLeasesGrid(*leasesGrid)
-	if err != nil {
-		return fmt.Errorf("-leases: %w", err)
-	}
-	cfg := experiments.FaultSweepConfig{
-		Chi:             *chi,
-		Reps:            *reps,
-		Seed:            *seed,
-		Workers:         *workers,
-		MaxSteps:        *steps,
-		Rerandomize:     *po,
-		OmegaDirect:     *omegaD,
-		OmegaIndirect:   *omegaI,
-		Servers:         *servers,
-		Backends:        backends,
-		Presets:         presetNames,
-		DropRates:       drops,
-		ProxyCounts:     proxyCounts,
-		Groups:          groups,
-		CheckpointEvery: *checkpointEvery,
-		UpdateWindow:    *updateWindow,
-		Persist:         persist,
-		FsyncEvery:      fsyncs,
-		Jitters:         jitters,
-		WorkloadAxes: experiments.WorkloadAxes{
-			Workloads: workloads,
-			ReadFracs: readFracs,
-			Leases:    leases,
-		},
-		PersistRoot:    *persistRoot,
-		CollectMetrics: *metricsOut != "",
-	}
-	rows, err := experiments.FaultSweep(cfg)
+	cfg.CollectMetrics = out.metrics != ""
+	rows, err := experiments.Sweep(cfg)
 	if err != nil {
 		return err
 	}
 	mode := "SO (start-up-only randomization)"
-	if *po {
+	if cfg.Rerandomize {
 		mode = "PO (re-randomize every step)"
 	}
-	fmt.Printf("# fault sweep: χ=%d, %d reps/cell, horizon %d steps, ω_direct=%d, ω_indirect=%d, %s\n",
-		*chi, *reps, *steps, *omegaD, *omegaI, mode)
-	fmt.Print(experiments.FormatFaultSweep(rows))
-	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
-		if err != nil {
-			return fmt.Errorf("create %s: %w", *csvPath, err)
-		}
-		defer f.Close()
-		if err := experiments.WriteFaultSweepCSV(f, rows); err != nil {
-			return fmt.Errorf("write %s: %w", *csvPath, err)
-		}
-		fmt.Println("# CSV written to", *csvPath)
+	fmt.Printf("# %s: χ=%d, %d reps/cell, horizon %d steps, %s, %s\n", title, cfg.Chi, cfg.Reps, cfg.MaxSteps, budget, mode)
+	cols := cfg.Columns()
+	fmt.Print(cols.Format(rows))
+	if err := writeCSVFile(out.csv, func(w io.Writer) error { return cols.WriteCSV(w, rows) }); err != nil {
+		return err
 	}
-	if *metricsOut != "" {
-		cells := make([]experiments.CellMetrics, 0, len(rows))
-		for _, r := range rows {
-			if r.Metrics == nil {
-				continue
-			}
-			cells = append(cells, experiments.CellMetrics{
-				Cell: fmt.Sprintf("backend=%s preset=%s drop=%g proxies=%d groups=%d persist=%s fsync=%d jitter=%d workload=%s readfrac=%g leases=%t",
-					r.Backend, r.Preset, r.DropRate, r.Proxies, r.Groups, r.Persist, r.FsyncEvery, r.Jitter, r.Workload, r.ReadFrac, r.Leases),
-				Snapshot: *r.Metrics,
-			})
-		}
-		if err := experiments.WriteCellMetricsJSON(*metricsOut, cells); err != nil {
+	if out.metrics != "" {
+		if err := experiments.WriteCellMetricsJSON(out.metrics, cols.CellMetrics(rows)); err != nil {
 			return err
 		}
-		fmt.Println("# metrics written to", *metricsOut)
+		fmt.Println("# metrics written to", out.metrics)
 	}
 	return nil
 }

@@ -112,6 +112,55 @@ func TestRunCampaignBadFlags(t *testing.T) {
 	}
 }
 
+func TestRunFaults(t *testing.T) {
+	if err := run([]string{"faults",
+		"-preset", "none,quorum-partition", "-persist", "mem,wal",
+		"-reps", "1", "-steps", "6", "-chi", "12", "-servers", "2", "-proxies", "2",
+		"-workers", "4", "-seed", "2",
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestRunFaultsCSV(t *testing.T) {
+	path := t.TempDir() + "/faults.csv"
+	if err := run([]string{"faults",
+		"-preset", "none", "-reps", "1", "-steps", "4", "-chi", "12",
+		"-servers", "2", "-proxies", "2", "-workers", "4", "-csv", path,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(data), "backend,preset,drop_rate,proxies,persist,fsync_every,jitter,workload,read_frac,leases,") {
+		t.Fatalf("faults csv header wrong: %.90s", data)
+	}
+	if lines := strings.Split(strings.TrimSpace(string(data)), "\n"); len(lines) != 2 || !strings.HasPrefix(lines[1], "pb,none,0,2,mem,0,0,closed,1,false,1,") {
+		t.Fatalf("faults csv rows wrong:\n%s", data)
+	}
+}
+
+func TestRunFaultsBadFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-preset", "nope"},
+		{"-persist", "disk"},
+		{"-drops", "x"},
+		{"-fsync-every", "-1"},
+		{"-jitter", "1.5"},
+		{"-workload", ""},
+		{"-reps", "0"},
+		{"-chi", "0"},
+		{"-steps", "0"},
+		{"-servers", "0"},
+	} {
+		if err := run(append([]string{"faults"}, args...)); err == nil {
+			t.Errorf("faults %v accepted", args)
+		}
+	}
+}
+
 func TestFlagErrorsSurface(t *testing.T) {
 	err := run([]string{"fig1", "-trials", "not-a-number"})
 	if err == nil || !strings.Contains(err.Error(), "invalid") {

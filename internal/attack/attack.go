@@ -161,23 +161,15 @@ type CampaignConfig struct {
 	MeasureAvailability bool
 	// Workload declares the measurement workload (see internal/workload).
 	// A non-zero Spec switches availability measurement on implicitly and
-	// drives it: closed-loop specs issue the legacy one-probe-per-step
-	// health check at the spec's read mix, open-loop specs probe each
-	// (shard, read/write class) once per step and resolve every generated
-	// arrival — 10⁴–10⁶ simulated clients' worth — against those outcomes,
-	// charging each request a virtual latency (its seeded service-time
-	// sample on success, the spec's Deadline on failure) into Latency.
-	// The zero Spec falls back to workload.Closed(ReadFraction), so
-	// pre-Spec configurations keep byte-identical outputs.
+	// drives it: closed-loop specs issue one health-check probe per step at
+	// the spec's read mix, open-loop specs probe each (shard, read/write
+	// class) once per step and resolve every generated arrival — 10⁴–10⁶
+	// simulated clients' worth — against those outcomes, charging each
+	// request a virtual latency (its seeded service-time sample on success,
+	// the spec's Deadline on failure) into Latency. With MeasureAvailability
+	// set and the Spec zero, the campaign runs the "closed" preset: one
+	// all-read probe per step.
 	Workload workload.Spec
-	// ReadFraction sets the read share of the legacy closed-loop
-	// availability workload when Workload is unset. Zero selects the
-	// historical all-read health probe (fraction 1); a negative value
-	// selects an all-write workload; values in (0,1] set the mix directly.
-	//
-	// Deprecated: set Workload instead — workload.Closed translates this
-	// encoding; new specs use a plain [0,1] fraction.
-	ReadFraction float64
 	// HealthTimeout bounds each availability health check. Zero selects a
 	// default generous enough that only genuine unavailability (a severed
 	// quorum, a dead proxy tier) fails the check.
@@ -208,12 +200,13 @@ func (c CampaignConfig) healthTimeout() time.Duration {
 }
 
 // workloadSpec resolves the measurement workload: the configured Spec, or
-// the legacy closed-loop translation of ReadFraction when none is set.
+// the "closed" preset when none is set.
 func (c CampaignConfig) workloadSpec() workload.Spec {
 	if !c.Workload.IsZero() {
 		return c.Workload
 	}
-	return workload.Closed(c.ReadFraction)
+	spec, _ := workload.PresetByName("closed") // in the catalog, cannot fail
+	return spec
 }
 
 // measures reports whether the campaign runs a measurement workload.

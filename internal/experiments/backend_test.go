@@ -14,12 +14,12 @@ import (
 // leader-driven catch-up transfer — produces byte-identical CSV at 1, 2
 // and 8 workers.
 func TestFaultSweepSMRBitIdenticalAcrossWorkers(t *testing.T) {
-	run := func(workers int) []FaultSweepRow {
+	run := func(workers int) []SweepRow {
 		t.Helper()
 		cfg := smallFaultSweep(workers)
 		cfg.Backends = []string{"smr"}
 		cfg.Presets = []string{"quorum-partition", "rolling-partition"}
-		rows, err := FaultSweep(cfg)
+		rows, err := Sweep(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,10 +41,10 @@ func TestFaultSweepSMRBitIdenticalAcrossWorkers(t *testing.T) {
 		}
 	}
 	var a, b bytes.Buffer
-	if err := WriteFaultSweepCSV(&a, base); err != nil {
+	if err := faultColumns.WriteCSV(&a, base); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFaultSweepCSV(&b, run(8)); err != nil {
+	if err := faultColumns.WriteCSV(&b, run(8)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -57,12 +57,12 @@ func TestFaultSweepSMRBitIdenticalAcrossWorkers(t *testing.T) {
 // statistically reproducible, because one shared generator interleaved all
 // connections — now reproduce byte-for-byte at any worker count.
 func TestFaultSweepDropCellsBitIdenticalAcrossWorkers(t *testing.T) {
-	run := func(workers int) []FaultSweepRow {
+	run := func(workers int) []SweepRow {
 		t.Helper()
 		cfg := smallFaultSweep(workers)
 		cfg.Presets = []string{"none", "lossy"}
 		cfg.DropRates = []float64{0.03}
-		rows, err := FaultSweep(cfg)
+		rows, err := Sweep(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,10 +79,10 @@ func TestFaultSweepDropCellsBitIdenticalAcrossWorkers(t *testing.T) {
 		}
 	}
 	var a, b bytes.Buffer
-	if err := WriteFaultSweepCSV(&a, base); err != nil {
+	if err := faultColumns.WriteCSV(&a, base); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFaultSweepCSV(&b, run(8)); err != nil {
+	if err := faultColumns.WriteCSV(&b, run(8)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -100,7 +100,7 @@ func TestFaultSweepBackendComparison(t *testing.T) {
 	cfg.Backends = []string{"pb", "smr"}
 	cfg.Presets = []string{"quorum-partition"}
 	cfg.MaxSteps = 12
-	rows, err := FaultSweep(cfg)
+	rows, err := Sweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestFaultSweepBackendComparison(t *testing.T) {
 func TestFaultSweepRejectsUnknownBackend(t *testing.T) {
 	cfg := smallFaultSweep(1)
 	cfg.Backends = []string{"raft"}
-	if _, err := FaultSweep(cfg); err == nil || !strings.Contains(err.Error(), "raft") {
+	if _, err := Sweep(cfg); err == nil || !strings.Contains(err.Error(), "raft") {
 		t.Fatalf("unknown backend: err = %v", err)
 	}
 }
@@ -129,7 +129,7 @@ func TestFaultSweepRejectsUnknownBackend(t *testing.T) {
 // TestLiveCampaignBackendAxis runs one tiny SMR cell through the live
 // campaign sweep, checking the axis is plumbed end to end.
 func TestLiveCampaignBackendAxis(t *testing.T) {
-	cfg := LiveCampaignConfig{
+	cfg := SweepConfig{
 		Chi:      12,
 		Reps:     2,
 		Seed:     3,
@@ -141,7 +141,7 @@ func TestLiveCampaignBackendAxis(t *testing.T) {
 		Detectors:   []bool{false},
 		Pacings:     []uint64{1},
 	}
-	rows, err := LiveCampaign(cfg)
+	rows, err := Sweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 // series' own confidence band of the closed-form EL.
 func TestLiveSMRMatchesAnalyticFig1Point(t *testing.T) {
 	const chi = 16
-	cfg := LiveCampaignConfig{
+	cfg := SweepConfig{
 		Chi:         chi,
 		Reps:        32,
 		Seed:        11,
@@ -27,7 +27,7 @@ func TestLiveSMRMatchesAnalyticFig1Point(t *testing.T) {
 		Detectors:   []bool{false},
 		Pacings:     []uint64{1},
 	}
-	rows, err := LiveCampaign(cfg)
+	rows, err := Sweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,103 +52,6 @@ func WriteFortifyCSV(w io.Writer, rows []FortifyComparison) error {
 	return nil
 }
 
-// WriteLiveCampaignCSV emits live-campaign sweep rows as CSV, one row per
-// (backend, proxy count, group count, detector, pacing, workload) cell,
-// ready for plotting next to the fig1/fig2 series. shard_availability and
-// shard_p99_ms are per-group vectors, semicolon-joined in group order
-// (empty for single-group cells); the latency percentile cells are empty
-// when the cell ran without a measurement workload.
-func WriteLiveCampaignCSV(w io.Writer, rows []LiveCampaignRow) error {
-	if _, err := io.WriteString(w,
-		"backend,proxies,detector,omega_indirect,workload,read_frac,leases,reps,compromised,mean_lifetime,ci95,availability,availability_ci95,p50_ms,p99_ms,p999_ms,groups,shard_availability,shard_p99_ms,route_server_indirect,route_server_launchpad,route_all_proxies\n"); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		row := fmt.Sprintf("%s,%d,%t,%d,%s,%s,%t,%d,%d,%s,%s,%s,%s,%s,%s,%s,%d,%s,%s,%d,%d,%d\n",
-			r.Backend,
-			r.Proxies,
-			r.Detector,
-			r.OmegaIndirect,
-			csvWorkload(r.Workload),
-			formatFloat(r.ReadFrac),
-			r.Leases,
-			r.Reps,
-			r.Compromised,
-			formatFloat(r.MeanLifetime),
-			formatFloat(r.CI95),
-			formatFloat(r.Availability),
-			formatFloat(r.AvailabilityCI95),
-			formatFloat(r.P50),
-			formatFloat(r.P99),
-			formatFloat(r.P999),
-			r.Groups,
-			formatFloatList(r.ShardAvailability),
-			formatFloatList(r.ShardP99),
-			r.Routes["server-indirect"],
-			r.Routes["server-launchpad"],
-			r.Routes["all-proxies"],
-		)
-		if _, err := io.WriteString(w, row); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// csvWorkload renders a workload-preset label, leaving the "-" placeholder
-// of measurement-off cells empty like the other absent cells.
-func csvWorkload(name string) string {
-	if name == "-" {
-		return ""
-	}
-	return name
-}
-
-// WriteFaultSweepCSV emits fault-sweep rows as CSV, one row per
-// (backend, preset, drop rate, proxy count, group count, persistence,
-// jitter, workload, read fraction, leases) cell. shard_availability and
-// shard_p99_ms are per-group vectors, semicolon-joined in group order
-// (empty for single-group cells).
-func WriteFaultSweepCSV(w io.Writer, rows []FaultSweepRow) error {
-	if _, err := io.WriteString(w,
-		"backend,preset,drop_rate,proxies,persist,fsync_every,jitter,workload,read_frac,leases,reps,compromised,mean_lifetime,ci95,availability,availability_ci95,p50_ms,p99_ms,p999_ms,groups,shard_availability,shard_p99_ms,route_server_indirect,route_server_launchpad,route_all_proxies\n"); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		row := fmt.Sprintf("%s,%s,%s,%d,%s,%d,%d,%s,%s,%t,%d,%d,%s,%s,%s,%s,%s,%s,%s,%d,%s,%s,%d,%d,%d\n",
-			r.Backend,
-			r.Preset,
-			formatFloat(r.DropRate),
-			r.Proxies,
-			r.Persist,
-			r.FsyncEvery,
-			r.Jitter,
-			csvWorkload(r.Workload),
-			formatFloat(r.ReadFrac),
-			r.Leases,
-			r.Reps,
-			r.Compromised,
-			formatFloat(r.MeanLifetime),
-			formatFloat(r.CI95),
-			formatFloat(r.Availability),
-			formatFloat(r.AvailabilityCI95),
-			formatFloat(r.P50),
-			formatFloat(r.P99),
-			formatFloat(r.P999),
-			r.Groups,
-			formatFloatList(r.ShardAvailability),
-			formatFloatList(r.ShardP99),
-			r.Routes["server-indirect"],
-			r.Routes["server-launchpad"],
-			r.Routes["all-proxies"],
-		)
-		if _, err := io.WriteString(w, row); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // WriteAlphaGrowthCSV emits E6 rows as CSV.
 func WriteAlphaGrowthCSV(w io.Writer, rows []AlphaGrowthRow) error {
 	if _, err := io.WriteString(w, "step,alpha_so,alpha_po\n"); err != nil {

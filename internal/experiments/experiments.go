@@ -1,9 +1,12 @@
 // Package experiments regenerates the paper's evaluation artifacts: the
 // Figure 1 EL-vs-α comparison, the Figure 2 EL-vs-κ sweep, and the §6
 // resilience-ordering chain, plus the background [7] comparison (E4) and
-// the αᵢ-growth illustration (E6). Each experiment reports rows ready for
-// printing or benchmarking; EXPERIMENTS.md records the measured shapes
-// against the paper's claims.
+// the αᵢ-growth illustration (E6), from the analytic models and the
+// Monte-Carlo engine. Sweep asks the same question of the executable
+// system: a grid of live de-randomization campaigns (attack.CampaignSeries)
+// over the paper's axes and, given fault presets, over degraded networks
+// and persistence modes. Each experiment reports rows ready for printing,
+// CSV or benchmarking.
 package experiments
 
 import (

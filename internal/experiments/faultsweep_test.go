@@ -10,8 +10,8 @@ import (
 
 // smallFaultSweep is a grid sized for tests: active schedules on every cell,
 // short horizon, few repetitions.
-func smallFaultSweep(workers int) FaultSweepConfig {
-	return FaultSweepConfig{
+func smallFaultSweep(workers int) SweepConfig {
+	return SweepConfig{
 		Chi:      16,
 		Reps:     2,
 		Seed:     5,
@@ -26,9 +26,9 @@ func smallFaultSweep(workers int) FaultSweepConfig {
 // and floating-point lifetime summaries included — is bit-identical at 1, 2
 // and 8 workers.
 func TestFaultSweepBitIdenticalAcrossWorkers(t *testing.T) {
-	run := func(workers int) []FaultSweepRow {
+	run := func(workers int) []SweepRow {
 		t.Helper()
-		rows, err := FaultSweep(smallFaultSweep(workers))
+		rows, err := Sweep(smallFaultSweep(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,10 +47,10 @@ func TestFaultSweepBitIdenticalAcrossWorkers(t *testing.T) {
 	// The CSV rendering — the artifact the CLI acceptance compares — must
 	// therefore also be byte-identical.
 	var a, b bytes.Buffer
-	if err := WriteFaultSweepCSV(&a, base); err != nil {
+	if err := faultColumns.WriteCSV(&a, base); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFaultSweepCSV(&b, run(8)); err != nil {
+	if err := faultColumns.WriteCSV(&b, run(8)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -66,13 +66,13 @@ func TestFaultSweepBitIdenticalAcrossWorkers(t *testing.T) {
 // partitioning promises: the islanded shard collapses while the other
 // holds at 1.
 func TestShardSweepBitIdenticalAcrossWorkers(t *testing.T) {
-	run := func(workers int) ([]FaultSweepRow, []map[string]uint64) {
+	run := func(workers int) ([]SweepRow, []map[string]uint64) {
 		t.Helper()
 		cfg := smallFaultSweep(workers)
 		cfg.Groups = []int{2}
 		cfg.Presets = []string{"none", "shard-cut"}
 		cfg.CollectMetrics = true
-		rows, err := FaultSweep(cfg)
+		rows, err := Sweep(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,10 +132,10 @@ func TestShardSweepBitIdenticalAcrossWorkers(t *testing.T) {
 	// must therefore also be byte-identical.
 	rerun, _ := run(8)
 	var a, b bytes.Buffer
-	if err := WriteFaultSweepCSV(&a, base); err != nil {
+	if err := faultColumns.WriteCSV(&a, base); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFaultSweepCSV(&b, rerun); err != nil {
+	if err := faultColumns.WriteCSV(&b, rerun); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -151,7 +151,7 @@ func TestFaultSweepQuorumPartitionDegradesAvailability(t *testing.T) {
 	cfg := smallFaultSweep(0)
 	cfg.Presets = []string{"none", "quorum-partition"}
 	cfg.MaxSteps = 12
-	rows, err := FaultSweep(cfg)
+	rows, err := Sweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestFaultSweepDurabilityAxes(t *testing.T) {
 	cfg.FsyncEvery = []int{1}
 	cfg.Jitters = []uint64{0, 1}
 	cfg.PersistRoot = t.TempDir()
-	rows, err := FaultSweep(cfg)
+	rows, err := Sweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,14 +214,14 @@ func TestFaultSweepDurabilityAxes(t *testing.T) {
 // the per-step read/write choice is a deterministic threshold, never an RNG
 // draw, and lease fallback always completes the probe.
 func TestReadMixSweepBitIdenticalAcrossWorkers(t *testing.T) {
-	run := func(workers int) []FaultSweepRow {
+	run := func(workers int) []SweepRow {
 		t.Helper()
 		cfg := smallFaultSweep(workers)
 		cfg.Backends = []string{"smr"}
 		cfg.Presets = []string{"rolling-partition"}
 		cfg.ReadFracs = []float64{0.5, 0.95}
 		cfg.Leases = []bool{false, true}
-		rows, err := FaultSweep(cfg)
+		rows, err := Sweep(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,7 +260,7 @@ func TestQuorumPartitionLeasesNoWorse(t *testing.T) {
 	cfg.MaxSteps = 12
 	cfg.ReadFracs = []float64{0.95}
 	cfg.Leases = []bool{false, true}
-	rows, err := FaultSweep(cfg)
+	rows, err := Sweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,13 +280,13 @@ func TestQuorumPartitionLeasesNoWorse(t *testing.T) {
 func TestFaultSweepRejectsUnknownPreset(t *testing.T) {
 	cfg := smallFaultSweep(1)
 	cfg.Presets = []string{"no-such-preset"}
-	if _, err := FaultSweep(cfg); err == nil || !strings.Contains(err.Error(), "no-such-preset") {
+	if _, err := Sweep(cfg); err == nil || !strings.Contains(err.Error(), "no-such-preset") {
 		t.Fatalf("unknown preset: err = %v", err)
 	}
 }
 
 func TestFormatFaultSweepAndCSV(t *testing.T) {
-	rows := []FaultSweepRow{{
+	rows := []SweepRow{{
 		Backend: "pb", Preset: "none", DropRate: 0.5, Proxies: 3, Groups: 2,
 		Persist: "wal", FsyncEvery: 8, Jitter: 2,
 		Workload: "zipf-poisson", ReadFrac: 0.95, Leases: true,
@@ -297,14 +297,14 @@ func TestFormatFaultSweepAndCSV(t *testing.T) {
 		ShardP99:          []float64{1.5, 250},
 		Routes:            map[string]uint64{"all-proxies": 2},
 	}}
-	table := FormatFaultSweep(rows)
+	table := faultColumns.Format(rows)
 	for _, want := range []string{"backend", "preset", "availability", "workload", "readfrac", "leases", "groups", "shards", "p99ms", "shardp99", "none", "zipf-poisson", "1;0.75", "1.5;250", "all-proxies:2"} {
 		if !strings.Contains(table, want) {
 			t.Errorf("table missing %q:\n%s", want, table)
 		}
 	}
 	var buf bytes.Buffer
-	if err := WriteFaultSweepCSV(&buf, rows); err != nil {
+	if err := faultColumns.WriteCSV(&buf, rows); err != nil {
 		t.Fatal(err)
 	}
 	got := buf.String()

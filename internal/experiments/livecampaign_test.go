@@ -6,8 +6,8 @@ import (
 )
 
 // smallLiveGrid keeps live-campaign tests fast: 2 cells, 3 reps each.
-func smallLiveGrid() LiveCampaignConfig {
-	return LiveCampaignConfig{
+func smallLiveGrid() SweepConfig {
+	return SweepConfig{
 		Chi:         16,
 		Reps:        3,
 		Seed:        5,
@@ -21,7 +21,7 @@ func smallLiveGrid() LiveCampaignConfig {
 }
 
 func TestLiveCampaignGridShape(t *testing.T) {
-	rows, err := LiveCampaign(smallLiveGrid())
+	rows, err := Sweep(smallLiveGrid())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,12 +50,12 @@ func TestLiveCampaignGridShape(t *testing.T) {
 func TestLiveCampaignDeterministicAcrossWorkers(t *testing.T) {
 	cfg := smallLiveGrid()
 	cfg.Workers = 1
-	base, err := LiveCampaign(cfg)
+	base, err := Sweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Workers = 4
-	got, err := LiveCampaign(cfg)
+	got, err := Sweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,10 +63,10 @@ func TestLiveCampaignDeterministicAcrossWorkers(t *testing.T) {
 	// so reflect.DeepEqual would reject even identical sweeps; the rendered
 	// CSV covers every row field and is the artifact that must reproduce.
 	var a, b strings.Builder
-	if err := WriteLiveCampaignCSV(&a, base); err != nil {
+	if err := campaignColumns.WriteCSV(&a, base); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteLiveCampaignCSV(&b, got); err != nil {
+	if err := campaignColumns.WriteCSV(&b, got); err != nil {
 		t.Fatal(err)
 	}
 	if a.String() != b.String() {
@@ -80,7 +80,7 @@ func TestLiveCampaignIndirectOnly(t *testing.T) {
 	cfg := smallLiveGrid()
 	cfg.OmegaDirect = 0
 	cfg.Pacings = []uint64{2}
-	rows, err := LiveCampaign(cfg)
+	rows, err := Sweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,30 +94,37 @@ func TestLiveCampaignIndirectOnly(t *testing.T) {
 	}
 	// A cell with no probe budget at all must surface the validation error.
 	cfg.Pacings = []uint64{0}
-	if _, err := LiveCampaign(cfg); err == nil {
+	if _, err := Sweep(cfg); err == nil {
 		t.Fatal("zero total probe budget accepted")
 	}
 }
 
 func TestLiveCampaignDefaultsApplied(t *testing.T) {
-	cfg := LiveCampaignConfig{}.withDefaults()
+	cfg := SweepConfig{}.withDefaults()
 	if cfg.Chi == 0 || cfg.Reps == 0 || len(cfg.ProxyCounts) == 0 ||
 		len(cfg.Detectors) == 0 || len(cfg.Pacings) == 0 {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
+	// Drop rates and jitter ride the fault injector, which only a grid with
+	// a fault-preset axis builds.
+	for _, c := range []SweepConfig{{DropRates: []float64{0.05}}, {Jitters: []uint64{1}}} {
+		if _, err := c.withDefaults().cells(); err == nil {
+			t.Errorf("campaign grid accepted %+v", c)
+		}
+	}
 }
 
 func TestLiveCampaignFormatAndCSV(t *testing.T) {
-	rows, err := LiveCampaign(smallLiveGrid())
+	rows, err := Sweep(smallLiveGrid())
 	if err != nil {
 		t.Fatal(err)
 	}
-	table := FormatLiveCampaign(rows)
+	table := campaignColumns.Format(rows)
 	if !strings.Contains(table, "proxies") || !strings.Contains(table, "meanLifetime") {
 		t.Fatalf("table header missing:\n%s", table)
 	}
 	var b strings.Builder
-	if err := WriteLiveCampaignCSV(&b, rows); err != nil {
+	if err := campaignColumns.WriteCSV(&b, rows); err != nil {
 		t.Fatal(err)
 	}
 	csv := b.String()

@@ -13,7 +13,7 @@ func TestFaultSweepMetricsDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live fault-sweep repetitions in -short mode")
 	}
-	base := FaultSweepConfig{
+	base := SweepConfig{
 		Reps:           2,
 		Seed:           11,
 		MaxSteps:       8,
@@ -21,11 +21,11 @@ func TestFaultSweepMetricsDeterministicAcrossWorkers(t *testing.T) {
 		CollectMetrics: true,
 	}
 	var want []map[string]uint64
-	var wantRows []FaultSweepRow
+	var wantRows []SweepRow
 	for _, workers := range []int{1, 2, 8} {
 		cfg := base
 		cfg.Workers = workers
-		rows, err := FaultSweep(cfg)
+		rows, err := Sweep(cfg)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

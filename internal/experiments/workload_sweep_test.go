@@ -11,18 +11,16 @@ import (
 // pristine cell next to a shard-cut cell. Chi is large enough that no
 // repetition is compromised within the horizon, so the two cells replay the
 // exact same arrival stream and differ only in the fault schedule.
-func workloadSweepConfig(workers int) FaultSweepConfig {
-	return FaultSweepConfig{
-		Chi:      4096,
-		Reps:     2,
-		Seed:     7,
-		Workers:  workers,
-		MaxSteps: 12,
-		Groups:   []int{2},
-		Presets:  []string{"none", "shard-cut"},
-		WorkloadAxes: WorkloadAxes{
-			Workloads: []string{"zipf-poisson"},
-		},
+func workloadSweepConfig(workers int) SweepConfig {
+	return SweepConfig{
+		Chi:       4096,
+		Reps:      2,
+		Seed:      7,
+		Workers:   workers,
+		MaxSteps:  12,
+		Groups:    []int{2},
+		Presets:   []string{"none", "shard-cut"},
+		Workloads: []string{"zipf-poisson"},
 	}
 }
 
@@ -32,9 +30,9 @@ func workloadSweepConfig(workers int) FaultSweepConfig {
 // under shard-cut the islanded shard's p99 degrades to the deadline while
 // the untouched shard's latency distribution is exactly the pristine cell's.
 func TestWorkloadSweepBitIdenticalAcrossWorkers(t *testing.T) {
-	run := func(workers int) []FaultSweepRow {
+	run := func(workers int) []SweepRow {
 		t.Helper()
-		rows, err := FaultSweep(workloadSweepConfig(workers))
+		rows, err := Sweep(workloadSweepConfig(workers))
 		if err != nil {
 			t.Fatal(err)
 		}

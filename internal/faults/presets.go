@@ -29,8 +29,8 @@ func (s Shape) TotalServers() int { return s.groups() * s.Servers }
 
 // Preset is a named, parameterized schedule family: given a deployment shape
 // (group, server and proxy counts) and a campaign horizon it produces the
-// concrete schedule. Presets are what the FaultSweep grid and the `fortress
-// faults` CLI select by name.
+// concrete schedule. Presets are what experiments.Sweep's preset axis and
+// the `fortress faults` CLI select by name.
 type Preset struct {
 	// Name selects the preset on the CLI and labels sweep rows.
 	Name string

@@ -91,8 +91,8 @@ func (d KeyDist) String() string {
 }
 
 // Spec declares a measurement workload. The zero value means "no workload
-// configured" (IsZero) — consumers fall back to their legacy behaviour —
-// and zero-valued individual fields select the documented defaults.
+// configured" (IsZero) — consumers fall back to their default, the
+// "closed" preset — and zero-valued individual fields select the documented defaults.
 type Spec struct {
 	// Name labels the spec in sweep rows and CSV; presets set it.
 	Name string
@@ -126,9 +126,7 @@ type Spec struct {
 	ZipfS float64
 	// ReadFraction is the read share of the workload in [0, 1]; 0 is all
 	// writes. The realized mix tracks the fraction exactly via a
-	// deterministic threshold, never an RNG draw. Note this is a plain
-	// fraction — the legacy CampaignConfig.ReadFraction encoding (0 means
-	// all reads, negative all writes) is translated by Closed.
+	// deterministic threshold, never an RNG draw.
 	ReadFraction float64
 	// Deadline is the virtual latency charged to a request whose owning
 	// shard fails its step probe — the per-request deadline after which an
@@ -137,7 +135,7 @@ type Spec struct {
 }
 
 // IsZero reports whether the spec is entirely unset — the "no workload
-// configured" sentinel consumers test before falling back to legacy knobs.
+// configured" sentinel consumers test before falling back to a default.
 func (s Spec) IsZero() bool { return s == Spec{} }
 
 // Validate rejects nonsensical field values. It accepts zero-valued fields
@@ -196,24 +194,6 @@ func (s Spec) withDefaults() Spec {
 		}
 	}
 	return s
-}
-
-// Closed translates the legacy attack.CampaignConfig.ReadFraction encoding
-// into a closed-loop Spec: zero keeps the historical all-read health probe,
-// negative selects all writes, values above one clamp. Campaigns whose
-// Workload is unset run exactly this spec, so pre-redesign configurations
-// keep their byte-identical outputs.
-func Closed(legacyReadFraction float64) Spec {
-	frac := legacyReadFraction
-	switch {
-	case frac == 0:
-		frac = 1
-	case frac < 0:
-		frac = 0
-	case frac > 1:
-		frac = 1
-	}
-	return Spec{Name: "closed", Arrival: ClosedLoop, ReadFraction: frac}
 }
 
 // Preset is a named Spec with the help text the CLIs print.

@@ -54,28 +54,19 @@ func TestEveryPresetValidates(t *testing.T) {
 		if err != nil || got != p.Spec {
 			t.Errorf("PresetByName(%s) = %+v, %v", p.Spec.Name, got, err)
 		}
-	}
-	if _, err := PresetByName("no-such-workload"); err == nil || err.Error() != `workload: unknown preset "no-such-workload"` {
-		t.Errorf("unknown preset: err = %v", err)
-	}
-}
-
-func TestClosedTranslatesLegacyEncoding(t *testing.T) {
-	// Legacy CampaignConfig.ReadFraction: 0 = all reads, negative = all
-	// writes, otherwise the read share (clamped at 1).
-	for _, tc := range []struct{ legacy, want float64 }{
-		{0, 1}, {-1, 0}, {0.95, 0.95}, {1, 1}, {2, 1},
-	} {
-		s := Closed(tc.legacy)
-		if s.Arrival != ClosedLoop || s.ReadFraction != tc.want {
-			t.Errorf("Closed(%g) = %+v, want read fraction %g", tc.legacy, s, tc.want)
-		}
-		if s.IsZero() {
-			t.Errorf("Closed(%g) reads as the no-workload sentinel", tc.legacy)
+		if p.Spec.IsZero() {
+			t.Errorf("preset %s reads as the no-workload sentinel", p.Spec.Name)
 		}
 	}
 	if !(Spec{}).IsZero() {
 		t.Error("zero spec not IsZero")
+	}
+	// The zero Spec's fallback: one all-read closed-loop probe per step.
+	if got, _ := PresetByName("closed"); got != (Spec{Name: "closed", Arrival: ClosedLoop, ReadFraction: 1}) {
+		t.Errorf("closed preset = %+v", got)
+	}
+	if _, err := PresetByName("no-such-workload"); err == nil || err.Error() != `workload: unknown preset "no-such-workload"` {
+		t.Errorf("unknown preset: err = %v", err)
 	}
 }
 
@@ -245,7 +236,7 @@ func TestBurstyModulation(t *testing.T) {
 // TestClosedLoopMixMatchesLegacyRule pins the deterministic read/write
 // threshold against the legacy campaign's per-step sequence.
 func TestClosedLoopMixMatchesLegacyRule(t *testing.T) {
-	g, err := NewGen(Closed(0.5), xrand.New(1))
+	g, err := NewGen(Spec{Name: "closed", Arrival: ClosedLoop, ReadFraction: 0.5}, xrand.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
