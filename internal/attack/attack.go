@@ -336,7 +336,7 @@ func Campaign(sys *fortress.System, space *keyspace.Space, cfg CampaignConfig, r
 		if meas != nil {
 			meas.step(step)
 		}
-		route, err := campaignStep(sys, cfg, proxyGuesser, serverGuesser)
+		route, err := campaignStep(sys, cfg, step, proxyGuesser, serverGuesser)
 		if err != nil {
 			return res, err
 		}
@@ -625,7 +625,18 @@ func checkShardHealth(c *proxy.Client, step uint64, group int, key string, read 
 // or "" if the system survived. After every crash-inducing probe the
 // target's forking daemons respawn the dead process (sys.Recover), which is
 // what lets an attacker sustain ω probes per step (§2.1).
-func campaignStep(sys *fortress.System, cfg CampaignConfig, proxyGuesser, serverGuesser *keyspace.Guesser) (string, error) {
+//
+// Every probe carries its own request id — probe-<step>-<i> through a
+// proxy, lp-<step>-<i> from the launch pad — a pure function of its place
+// in the campaign. A reused id would be answered from a server's reply
+// table instead of reaching the exploit guard, and which probes that
+// swallowed would depend on how the previous forward raced the next probe.
+func campaignStep(sys *fortress.System, cfg CampaignConfig, step uint64, proxyGuesser, serverGuesser *keyspace.Guesser) (string, error) {
+	probes := 0
+	probeID := func() string {
+		probes++
+		return fmt.Sprintf("probe-%d-%d", step, probes-1)
+	}
 	// Stage 1: direct probes at the proxy tier. Request fan-out: each
 	// guess is delivered to every live proxy.
 	for i := uint64(0); i < cfg.OmegaDirect; i++ {
@@ -637,7 +648,7 @@ func campaignStep(sys *fortress.System, cfg CampaignConfig, proxyGuesser, server
 			if p.Crashed() || p.Compromised() {
 				continue
 			}
-			deliverProbe(sys, p, exploit.NewPayload(exploit.TierProxy, guess), cfg.ProbeTimeout)
+			deliverProbe(sys, p, probeID(), exploit.NewPayload(exploit.TierProxy, guess), cfg.ProbeTimeout)
 		}
 		if err := sys.Recover(); err != nil {
 			return "", err
@@ -653,7 +664,7 @@ func campaignStep(sys *fortress.System, cfg CampaignConfig, proxyGuesser, server
 		if !ok {
 			break
 		}
-		deliverIndirectProbe(sys, exploit.NewPayload(exploit.TierServer, guess), cfg.ProbeTimeout)
+		deliverIndirectProbe(sys, probeID(), exploit.NewPayload(exploit.TierServer, guess), cfg.ProbeTimeout)
 		if err := sys.Recover(); err != nil {
 			return "", err
 		}
@@ -672,7 +683,7 @@ func campaignStep(sys *fortress.System, cfg CampaignConfig, proxyGuesser, server
 			if !ok {
 				break
 			}
-			_, _ = p.RawForward(0, fmt.Sprintf("lp-%d", i), exploit.NewPayload(exploit.TierServer, guess))
+			_, _ = p.RawForward(0, fmt.Sprintf("lp-%d-%d", step, i), exploit.NewPayload(exploit.TierServer, guess))
 			if err := sys.Recover(); err != nil {
 				return "", err
 			}
@@ -696,13 +707,13 @@ func campaignStep(sys *fortress.System, cfg CampaignConfig, proxyGuesser, server
 // the outcome (reply, block or crash-closure). A positive timeout bounds
 // the wait — without one, a probe whose request or reply a lossy link
 // swallowed would park the campaign forever.
-func deliverProbe(sys *fortress.System, p *proxy.Proxy, payload []byte, timeout time.Duration) {
+func deliverProbe(sys *fortress.System, p *proxy.Proxy, id string, payload []byte, timeout time.Duration) {
 	conn, err := sys.Net().Dial("attacker", p.Addr())
 	if err != nil {
 		return
 	}
 	defer conn.Close()
-	if err := conn.Send(proxy.EncodeRequest("probe", payload)); err != nil {
+	if err := conn.Send(proxy.EncodeRequest(id, payload)); err != nil {
 		return
 	}
 	// Reply, error, closure or timeout — the outcome state is read elsewhere.
@@ -719,12 +730,12 @@ func deliverProbe(sys *fortress.System, p *proxy.Proxy, payload []byte, timeout 
 
 // deliverIndirectProbe sends one server-targeted exploit request through
 // the first live proxy.
-func deliverIndirectProbe(sys *fortress.System, payload []byte, timeout time.Duration) {
+func deliverIndirectProbe(sys *fortress.System, id string, payload []byte, timeout time.Duration) {
 	for _, p := range sys.Proxies() {
 		if p.Crashed() {
 			continue
 		}
-		deliverProbe(sys, p, payload, timeout)
+		deliverProbe(sys, p, id, payload, timeout)
 		return
 	}
 }

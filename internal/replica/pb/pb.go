@@ -21,6 +21,14 @@
 //     per-request fan-out payload scales with the state the request touched,
 //     not with total state size. Every Config.CheckpointEvery-th update is a
 //     full snapshot checkpoint that re-anchors the chain.
+//   - Both ends pay for the edit, not for the state. A DeltaCapable
+//     service reports the edit on the primary and keeps the spliced
+//     snapshot itself. A backup checks the delta's base hash (CRC-32C)
+//     against its service's own snapshot, splices, and hands the result and
+//     the edit to service.InstallDelta, which re-parses only the entries
+//     the edit touched. Backups call Restore only for checkpoints — and
+//     for deltas on a service without the surface (Nondet), or an edit not
+//     on whole entries, which fall back to it: slower, never wrong.
 //   - Peer links are full duplex (replica/core): a backup acks each applied
 //     update as a reply on the very connection the update arrived on, and
 //     the primary's per-peer reader loop drains those acks into a cumulative
@@ -111,7 +119,7 @@ type wireMsg struct {
 	DeltaPrefix int    `json:"deltaPrefix,omitempty"`
 	DeltaSuffix int    `json:"deltaSuffix,omitempty"`
 	Delta       []byte `json:"delta,omitempty"`
-	BaseHash    uint64 `json:"baseHash,omitempty"`
+	BaseHash    uint32 `json:"baseHash,omitempty"`
 	// Stream identifies, on acks and nacks, the primary index whose update
 	// stream the sender is positioned in — the primary retransmits deltas
 	// only to a backup confirmed on its own chain, and checkpoint-resyncs
@@ -233,7 +241,7 @@ type retained struct {
 	// delta fields, valid when checkpoint is nil.
 	prefix, suffix int
 	patch          []byte
-	baseHash       uint64
+	baseHash       uint32
 }
 
 // Replica is one primary-backup replica: the PB protocol handler mounted on
@@ -275,9 +283,8 @@ type Replica struct {
 	stallLimit int
 
 	// Backup-side update stream state.
-	snapBytes []byte // snapshot encoding the next delta must chain from
-	updFrom   int    // primary index whose stream we are positioned in
-	resyncing bool   // a nack is outstanding; suppress duplicates
+	updFrom   int  // primary index whose stream we are positioned in
+	resyncing bool // a nack is outstanding; suppress duplicates
 	nackedAt  time.Time
 
 	// shedMu guards shedPeers — peers whose outbox shed staged updates
@@ -491,7 +498,7 @@ func (r *Replica) Rejoin() {
 	}
 	// primaryIdx keeps its pre-crash value; the current primary's next
 	// heartbeat corrects it, and the failover timer covers a silent group.
-	// snapBytes/updFrom/seq are retained too: if the stream is unchanged the
+	// updFrom/seq are retained too: if the stream is unchanged the
 	// node resumes exactly where it stopped, and any gap it slept through
 	// resolves with a nack on the first update or heartbeat it hears.
 	r.suspected = make(map[int]bool)
@@ -524,7 +531,7 @@ func (r *Replica) Rejoin() {
 // In a multi-replica group the recovered node always comes back as a
 // backup positioned at its journaled stream: the cluster may have moved on
 // while it was down, and heartbeats plus the failover timer sort out who
-// leads now. Because the stream position (updFrom, snapBytes, seq) is
+// leads now. Because the stream position (updFrom, seq, and the state) is
 // restored rather than reset, an in-window gap converges by delta
 // retransmission over the duplex link — no checkpoint resync.
 func (r *Replica) RecoverFromStore() error {
@@ -605,7 +612,6 @@ replay:
 	}
 	r.mu.Lock()
 	r.seq = seq
-	r.snapBytes = state
 	r.updFrom = from
 	// If this node is later promoted, its first execution must ship a
 	// checkpoint anchoring every backup, and its retransmission window must
@@ -712,30 +718,12 @@ func (r *Replica) execute(m wireMsg) []byte {
 	payload := core.Payload(r.cfg.Service.Apply(m.Body))
 
 	// Fast path: a DeltaCapable service described this Apply's exact
-	// snapshot edit, so the next chain state is a splice of the previous
-	// one — no full Snapshot() marshal and no DiffSnapshot scan. Reading
-	// seq/lastSnap outside r.mu is safe here: execMu serializes every
-	// writer of both. Only delta sequences qualify; checkpoints ship the
-	// whole snapshot regardless.
-	delta, deltaOK := service.LastDeltaOf(r.cfg.Service)
-	r.mu.Lock()
-	base := r.lastSnap
-	nextSeq := r.seq + 1
-	r.mu.Unlock()
-	var snap []byte
-	var snapErr error
-	fast := false
-	if deltaOK && base != nil && nextSeq%uint64(r.cfg.CheckpointEvery) != 0 {
-		if delta.Unchanged {
-			delta = service.SnapshotDelta{PrefixLen: len(base)}
-			snap, fast = base, true
-		} else if s, ok := ApplyDelta(base, delta.PrefixLen, delta.Patch, delta.SuffixLen); ok {
-			snap, fast = s, true
-		}
-	}
-	if !fast {
-		snap, snapErr = r.cfg.Service.Snapshot()
-	}
+	// snapshot edit and already spliced it into the snapshot it maintains,
+	// so that snapshot is the next chain state and the edit is the delta —
+	// no marshal, no DiffSnapshot scan, no second copy. Only delta
+	// sequences use the edit; checkpoints ship the whole snapshot.
+	delta, fast := service.LastDeltaOf(r.cfg.Service)
+	snap, snapErr := r.cfg.Service.Snapshot()
 
 	r.mu.Lock()
 	r.seq++
@@ -756,9 +744,15 @@ func (r *Replica) execute(m wireMsg) []byte {
 	} else {
 		r.mDeltas.Inc()
 		up.baseHash = snapHash(r.lastSnap)
-		if fast {
+		if delta.Unchanged {
+			delta = service.SnapshotDelta{PrefixLen: len(r.lastSnap)}
+		}
+		// A reported edit must fit the old snapshot and account for every
+		// byte of the new one; anything else takes the diff path.
+		p, s := delta.PrefixLen, delta.SuffixLen
+		if fast && p >= 0 && s >= 0 && p+s <= len(r.lastSnap) && p+len(delta.Patch)+s == len(snap) {
 			r.mDeltaFast.Inc()
-			up.prefix, up.suffix = delta.PrefixLen, delta.SuffixLen
+			up.prefix, up.suffix = p, s
 			up.patch = append([]byte(nil), delta.Patch...)
 		} else {
 			var patch []byte
@@ -848,7 +842,6 @@ func (r *Replica) handleUpdate(m wireMsg) []byte {
 	}
 	sameStream := m.From == r.updFrom
 	prevSeq := r.seq
-	base := r.snapBytes
 	if m.Type == msgCheckpoint {
 		if sameStream && m.Seq <= prevSeq {
 			// Duplicate (a retransmission crossed our ack, or the ack was
@@ -897,21 +890,26 @@ func (r *Replica) handleUpdate(m wireMsg) []byte {
 	// streamUnknown, steering the primary straight to the checkpoint
 	// fallback (and making the stream's later deltas cross-stream drops
 	// instead of a fresh spurious nack each).
-	if snapHash(base) != m.BaseHash {
+	// The delta chains from the service's own snapshot, so the base hash
+	// checks the very state the edit is installed on, however it got
+	// there, and the service installs the edit in place instead of
+	// re-parsing the whole spliced state.
+	base, err := r.cfg.Service.Snapshot()
+	if err != nil || snapHash(base) != m.BaseHash {
 		return r.nackDiverged()
 	}
 	newSnap, ok := ApplyDelta(base, m.DeltaPrefix, m.Delta, m.DeltaSuffix)
 	if !ok {
 		return r.nackDiverged()
 	}
-	if err := r.cfg.Service.Restore(newSnap); err != nil {
+	d := service.SnapshotDelta{PrefixLen: m.DeltaPrefix, Patch: m.Delta, SuffixLen: m.DeltaSuffix}
+	if err := service.InstallDelta(r.cfg.Service, newSnap, d); err != nil {
 		return r.nackDiverged()
 	}
 
 	r.mDeltas.Inc()
 	r.mu.Lock()
 	r.seq = m.Seq
-	r.snapBytes = newSnap
 	r.primaryIdx = m.From
 	r.lastHeartbeat = time.Now()
 	r.resyncing = false
@@ -943,7 +941,6 @@ func (r *Replica) installCheckpoint(m wireMsg, sameStream bool, prevSeq uint64) 
 	r.mu.Lock()
 	jumped := !sameStream || m.Seq > prevSeq+1
 	r.seq = m.Seq
-	r.snapBytes = m.Snapshot
 	r.updFrom = m.From
 	r.primaryIdx = m.From
 	r.lastHeartbeat = time.Now()
@@ -990,7 +987,7 @@ func (r *Replica) ackLocked(stream int) []byte {
 }
 
 // nackDiverged reports a chain break that no retransmission can repair
-// (base-hash mismatch, unappliable delta, failed restore): the backup
+// (base-hash mismatch, unappliable delta, failed install): the backup
 // abandons its stream position so the nack's streamUnknown forces the
 // primary onto the checkpoint path.
 func (r *Replica) nackDiverged() []byte {
@@ -998,7 +995,6 @@ func (r *Replica) nackDiverged() []byte {
 	r.mu.Lock()
 	r.trace.Record(metrics.KindResyncDiverged, r.cfg.Addr, r.primaryIdx, r.seq)
 	r.updFrom = streamUnknown
-	r.snapBytes = nil
 	return r.nackLocked()
 }
 
@@ -1148,7 +1144,6 @@ func (r *Replica) handleHeartbeat(m wireMsg) {
 			r.role = RoleBackup
 			r.primaryIdx = m.From
 			r.updFrom = streamUnknown
-			r.snapBytes = nil
 			r.resyncing = false
 		}
 		r.mu.Unlock()

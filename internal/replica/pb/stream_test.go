@@ -243,7 +243,7 @@ func TestResyncFallsBackToCheckpoint(t *testing.T) {
 }
 
 // TestDivergedBackupResyncsViaCheckpoint pins the divergence path: a
-// backup whose snapshot bytes have silently rotted fails the delta's
+// backup whose state has silently rotted fails the delta's
 // base-hash check, drops off-stream, and must be re-anchored by a
 // checkpoint — retransmitting the same delta could never succeed, so the
 // nack must not steer the primary onto the retransmission path even though
@@ -258,9 +258,13 @@ func TestDivergedBackupResyncsViaCheckpoint(t *testing.T) {
 	writeN(t, net, reps[0], 0, 4)
 	waitConverged(t, kvs, reps)
 
-	reps[1].mu.Lock()
-	reps[1].snapBytes = []byte("rotten")
-	reps[1].mu.Unlock()
+	// Rot the backup's state behind the protocol's back: its snapshot no
+	// longer hashes to the base the primary's next delta names.
+	reps[1].execMu.Lock()
+	if _, err := kvs[1].Apply(kvPut(t, "rotten", "state")); err != nil {
+		t.Fatal(err)
+	}
+	reps[1].execMu.Unlock()
 
 	writeN(t, net, reps[0], 4, 4)
 	waitConverged(t, kvs, reps)

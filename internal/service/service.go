@@ -13,7 +13,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -33,7 +32,9 @@ type Service interface {
 	Name() string
 	// Apply executes one request and returns the response.
 	Apply(req []byte) ([]byte, error)
-	// Snapshot serializes the full service state.
+	// Snapshot serializes the full service state, canonically: the same
+	// state gives the same bytes, so a Restored snapshot snapshots back to
+	// itself. PB backups check each delta's base hash against it.
 	Snapshot() ([]byte, error)
 	// Restore replaces the state with a previous Snapshot.
 	Restore(snapshot []byte) error
@@ -77,18 +78,27 @@ type SnapshotDelta struct {
 	SuffixLen int
 }
 
-// DeltaCapable is the optional incremental-snapshot surface: a service that
-// implements it reports each Apply's exact snapshot edit, which lets the PB
-// primary splice the next chain state from the previous one instead of
-// re-serializing the whole state (Snapshot) and scanning for the difference
-// (DiffSnapshot) on every request.
+// DeltaCapable is the optional incremental-snapshot surface, used in both
+// directions of a primary-backup update stream. On the primary, a service
+// that implements it reports each Apply's exact snapshot edit, so the next
+// chain state is the service's own maintained snapshot instead of a
+// re-serialization (Snapshot) and a scan for the difference (DiffSnapshot)
+// on every request. On a backup, it installs that edit at the cost of the
+// entries it touches instead of re-parsing the whole state (Restore).
 type DeltaCapable interface {
 	// LastDelta reports the snapshot edit of the most recent Apply (or
-	// Restore, which reports Unchanged). The returned Patch must not be
-	// modified and stays valid until the next Apply/Restore; callers that
-	// pair Apply with LastDelta must serialize the two against concurrent
-	// Applies — the replication engines do, under their execution lock.
+	// Restore or InstallDelta, which report Unchanged). The returned Patch
+	// must not be modified and stays valid until the next call that
+	// changes the state; callers that pair Apply with LastDelta must
+	// serialize the two against concurrent Applies — the replication
+	// engines do, under their execution lock.
 	LastDelta() (SnapshotDelta, bool)
+	// InstallDelta adopts next, which must be d spliced onto the current
+	// Snapshot(), as the new state. The result equals Restore(next):
+	// an identity edit is a no-op, and an edit the service cannot place
+	// on its own structure falls back to Restore(next), slower but never
+	// wrong. next is retained and must not be modified.
+	InstallDelta(next []byte, d SnapshotDelta) error
 }
 
 // LastDeltaOf returns svc's delta for its most recent Apply when svc
@@ -99,6 +109,15 @@ func LastDeltaOf(svc Service) (SnapshotDelta, bool) {
 		return dc.LastDelta()
 	}
 	return SnapshotDelta{}, false
+}
+
+// InstallDelta installs next = splice(svc.Snapshot(), d) on svc: through
+// DeltaCapable when svc implements it, by Restore(next) otherwise.
+func InstallDelta(svc Service, next []byte, d SnapshotDelta) error {
+	if dc, ok := svc.(DeltaCapable); ok {
+		return dc.InstallDelta(next, d)
+	}
+	return svc.Restore(next)
 }
 
 // spliceBytes builds prev[:prefix] + patch + prev[len(prev)-suffix:] as a
@@ -127,19 +146,11 @@ type KVResponse struct {
 	Value string `json:"value,omitempty"`
 }
 
-// KV is a deterministic key-value store.
+// KV is a deterministic key-value store. Its snapshot is the canonical
+// encoding of the map (sorted keys, identical to json.Marshal), maintained
+// by the shared sorted-entry editor.
 type KV struct {
-	mu   sync.Mutex
-	data map[string]string
-	// Incremental-snapshot editor state (DeltaCapable): snap is the
-	// canonical snapshot encoding — byte-identical to json.Marshal(data),
-	// whose object keys are sorted — maintained by splicing one entry per
-	// mutation; keys/encs hold the sorted keys and each entry's encoded
-	// bytes; last is the edit the most recent Apply performed.
-	snap []byte
-	keys []string
-	encs [][]byte
-	last SnapshotDelta
+	entries[string]
 }
 
 var (
@@ -149,7 +160,7 @@ var (
 
 // NewKV returns an empty KV store.
 func NewKV() *KV {
-	return &KV{data: make(map[string]string), snap: []byte("{}")}
+	return &KV{entries: newEntries("kv", "{}", encodeKVEntry, parseKV)}
 }
 
 // encodeKVEntry renders one `"key":"value"` object member exactly as
@@ -165,70 +176,16 @@ func encodeKVEntry(k, v string) []byte {
 	return append(enc, vb...)
 }
 
-// entryOffset returns the byte offset of entry i in an editor snapshot: one
-// opening bracket, then each earlier entry plus its separating comma.
-func entryOffset(encs [][]byte, i int) int {
-	off := 1
-	for j := 0; j < i; j++ {
-		off += len(encs[j]) + 1
+// parseKV decodes a KV snapshot in any valid JSON object encoding.
+func parseKV(doc []byte) (map[string]string, error) {
+	data := make(map[string]string)
+	if err := json.Unmarshal(doc, &data); err != nil {
+		return nil, err
 	}
-	return off
-}
-
-// editPut records a put as a one-entry splice: replace in place when the
-// key exists, insert at its sorted position otherwise. Caller holds kv.mu.
-func (kv *KV) editPut(k, v string) {
-	enc := encodeKVEntry(k, v)
-	i := sort.SearchStrings(kv.keys, k)
-	var prefix, suffix int
-	patch := enc
-	switch {
-	case i < len(kv.keys) && kv.keys[i] == k: // replace
-		prefix = entryOffset(kv.encs, i)
-		suffix = len(kv.snap) - prefix - len(kv.encs[i])
-		kv.encs[i] = enc
-	case len(kv.keys) == 0: // first entry: between the braces
-		prefix, suffix = 1, 1
-	case i == len(kv.keys): // append: before the closing brace
-		prefix, suffix = len(kv.snap)-1, 1
-		patch = append([]byte{','}, enc...)
-	default: // insert before entry i
-		prefix = entryOffset(kv.encs, i)
-		suffix = len(kv.snap) - prefix
-		patch = append(append([]byte{}, enc...), ',')
+	if data == nil { // JSON null
+		data = make(map[string]string)
 	}
-	if !(i < len(kv.keys) && kv.keys[i] == k) {
-		kv.keys = append(kv.keys, "")
-		copy(kv.keys[i+1:], kv.keys[i:])
-		kv.keys[i] = k
-		kv.encs = append(kv.encs, nil)
-		copy(kv.encs[i+1:], kv.encs[i:])
-		kv.encs[i] = enc
-	}
-	kv.last = SnapshotDelta{PrefixLen: prefix, Patch: patch, SuffixLen: suffix}
-	kv.snap = spliceBytes(kv.snap, prefix, patch, suffix)
-}
-
-// editDelete records a delete of existing key k as a one-entry splice that
-// also eats the adjacent comma. Caller holds kv.mu.
-func (kv *KV) editDelete(k string) {
-	i := sort.SearchStrings(kv.keys, k)
-	var prefix, suffix int
-	switch {
-	case len(kv.keys) == 1: // last entry out: back to {}
-		prefix, suffix = 1, 1
-	case i == 0: // first entry and its trailing comma
-		prefix = 1
-		suffix = len(kv.snap) - 2 - len(kv.encs[0])
-	default: // preceding comma and the entry
-		off := entryOffset(kv.encs, i)
-		prefix = off - 1
-		suffix = len(kv.snap) - off - len(kv.encs[i])
-	}
-	kv.keys = append(kv.keys[:i], kv.keys[i+1:]...)
-	kv.encs = append(kv.encs[:i], kv.encs[i+1:]...)
-	kv.last = SnapshotDelta{PrefixLen: prefix, SuffixLen: suffix}
-	kv.snap = spliceBytes(kv.snap, prefix, nil, suffix)
+	return data, nil
 }
 
 // Name implements Service.
@@ -261,67 +218,14 @@ func (kv *KV) Apply(req []byte) ([]byte, error) {
 		v, ok := kv.data[r.Key]
 		resp = KVResponse{Found: ok, Value: v}
 	case "put":
-		kv.data[r.Key] = r.Value
-		kv.editPut(r.Key, r.Value)
+		kv.put(r.Key, r.Value)
 		resp = KVResponse{Found: true, Value: r.Value}
 	case "delete":
-		_, ok := kv.data[r.Key]
-		if ok {
-			delete(kv.data, r.Key)
-			kv.editDelete(r.Key)
-		}
-		resp = KVResponse{Found: ok}
+		resp = KVResponse{Found: kv.del(r.Key)}
 	default:
 		return nil, fmt.Errorf("%w: unknown op %q", ErrBadRequest, r.Op)
 	}
 	return json.Marshal(resp)
-}
-
-// LastDelta implements DeltaCapable.
-func (kv *KV) LastDelta() (SnapshotDelta, bool) {
-	kv.mu.Lock()
-	defer kv.mu.Unlock()
-	return kv.last, true
-}
-
-// Snapshot implements Service. The returned bytes are the maintained
-// canonical encoding (sorted keys, identical to marshalling the map) and
-// must not be modified.
-func (kv *KV) Snapshot() ([]byte, error) {
-	kv.mu.Lock()
-	defer kv.mu.Unlock()
-	return kv.snap, nil
-}
-
-// Restore implements Service.
-func (kv *KV) Restore(snapshot []byte) error {
-	data := make(map[string]string)
-	if err := json.Unmarshal(snapshot, &data); err != nil {
-		return fmt.Errorf("service: restore kv: %w", err)
-	}
-	// Re-canonicalize rather than adopting the input bytes: the editor's
-	// splices must chain from the sorted no-whitespace encoding.
-	snap, err := json.Marshal(data)
-	if err != nil {
-		return fmt.Errorf("service: restore kv: %v", err)
-	}
-	keys := make([]string, 0, len(data))
-	for k := range data {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	encs := make([][]byte, len(keys))
-	for i, k := range keys {
-		encs[i] = encodeKVEntry(k, data[k])
-	}
-	kv.mu.Lock()
-	defer kv.mu.Unlock()
-	kv.data = data
-	kv.snap = snap
-	kv.keys = keys
-	kv.encs = encs
-	kv.last = SnapshotDelta{Unchanged: true}
-	return nil
 }
 
 // Len reports the number of stored keys (for tests and examples).
@@ -420,6 +324,10 @@ func (c *Counter) Restore(snapshot []byte) error {
 	return nil
 }
 
+// InstallDelta implements DeltaCapable: the snapshot is one number, so
+// installing any edit restores it.
+func (c *Counter) InstallDelta(next []byte, _ SnapshotDelta) error { return c.Restore(next) }
+
 // Value reports the current count.
 func (c *Counter) Value() int64 {
 	c.mu.Lock()
@@ -454,16 +362,10 @@ type bankEntry struct {
 }
 
 // Bank is a deterministic multi-account ledger with non-negative balances.
+// Its snapshot is the sorted-by-account array of bankEntry, maintained by
+// the sorted-entry editor KV uses.
 type Bank struct {
-	mu       sync.Mutex
-	accounts map[string]int64
-	// Incremental-snapshot editor state (DeltaCapable), mirroring KV's: the
-	// canonical sorted-entry array encoding, maintained by splicing the one
-	// or two entries each request touches.
-	snap []byte
-	keys []string
-	encs [][]byte
-	last SnapshotDelta
+	entries[int64]
 }
 
 var (
@@ -473,7 +375,7 @@ var (
 
 // NewBank returns a bank with no accounts.
 func NewBank() *Bank {
-	return &Bank{accounts: make(map[string]int64), snap: []byte("[]")}
+	return &Bank{entries: newEntries("bank", "[]", encodeBankEntry, parseBank)}
 }
 
 // encodeBankEntry renders one account entry exactly as json.Marshal renders
@@ -483,73 +385,18 @@ func encodeBankEntry(k string, v int64) []byte {
 	return enc
 }
 
-// editInsert records a new account (balance 0) as a one-entry splice at its
-// sorted position. Caller holds b.mu.
-func (b *Bank) editInsert(k string) {
-	enc := encodeBankEntry(k, 0)
-	i := sort.SearchStrings(b.keys, k)
-	var prefix, suffix int
-	patch := enc
-	switch {
-	case len(b.keys) == 0:
-		prefix, suffix = 1, 1
-	case i == len(b.keys):
-		prefix, suffix = len(b.snap)-1, 1
-		patch = append([]byte{','}, enc...)
-	default:
-		prefix = entryOffset(b.encs, i)
-		suffix = len(b.snap) - prefix
-		patch = append(append([]byte{}, enc...), ',')
+// parseBank decodes a bank snapshot; a repeated account keeps its last
+// balance.
+func parseBank(doc []byte) (map[string]int64, error) {
+	var list []bankEntry
+	if err := json.Unmarshal(doc, &list); err != nil {
+		return nil, err
 	}
-	b.keys = append(b.keys, "")
-	copy(b.keys[i+1:], b.keys[i:])
-	b.keys[i] = k
-	b.encs = append(b.encs, nil)
-	copy(b.encs[i+1:], b.encs[i:])
-	b.encs[i] = enc
-	b.last = SnapshotDelta{PrefixLen: prefix, Patch: patch, SuffixLen: suffix}
-	b.snap = spliceBytes(b.snap, prefix, patch, suffix)
-}
-
-// editReplace re-encodes one existing account in place. Caller holds b.mu.
-func (b *Bank) editReplace(k string) {
-	i := sort.SearchStrings(b.keys, k)
-	enc := encodeBankEntry(k, b.accounts[k])
-	prefix := entryOffset(b.encs, i)
-	suffix := len(b.snap) - prefix - len(b.encs[i])
-	b.encs[i] = enc
-	b.last = SnapshotDelta{PrefixLen: prefix, Patch: enc, SuffixLen: suffix}
-	b.snap = spliceBytes(b.snap, prefix, enc, suffix)
-}
-
-// editReplace2 re-encodes the two accounts a transfer touched as one
-// contiguous splice spanning from the lower entry to the higher, keeping
-// the original bytes between them. Caller holds b.mu.
-func (b *Bank) editReplace2(from, to string) {
-	if from == to {
-		b.editReplace(from)
-		return
+	accounts := make(map[string]int64, len(list))
+	for _, e := range list {
+		accounts[e.Account] = e.Balance
 	}
-	i := sort.SearchStrings(b.keys, from)
-	j := sort.SearchStrings(b.keys, to)
-	lo, hi := i, j
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	encLo := encodeBankEntry(b.keys[lo], b.accounts[b.keys[lo]])
-	encHi := encodeBankEntry(b.keys[hi], b.accounts[b.keys[hi]])
-	offLo := entryOffset(b.encs, lo)
-	offHi := entryOffset(b.encs, hi)
-	prefix := offLo
-	suffix := len(b.snap) - offHi - len(b.encs[hi])
-	patch := make([]byte, 0, len(encLo)+(offHi-offLo-len(b.encs[lo]))+len(encHi))
-	patch = append(patch, encLo...)
-	patch = append(patch, b.snap[offLo+len(b.encs[lo]):offHi]...)
-	patch = append(patch, encHi...)
-	b.encs[lo] = encLo
-	b.encs[hi] = encHi
-	b.last = SnapshotDelta{PrefixLen: prefix, Patch: patch, SuffixLen: suffix}
-	b.snap = spliceBytes(b.snap, prefix, patch, suffix)
+	return accounts, nil
 }
 
 // Name implements Service.
@@ -579,61 +426,52 @@ func (b *Bank) Apply(req []byte) ([]byte, error) {
 	return json.Marshal(resp)
 }
 
-// LastDelta implements DeltaCapable.
-func (b *Bank) LastDelta() (SnapshotDelta, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.last, true
-}
-
 func (b *Bank) apply(r BankRequest) BankResponse {
 	fail := func(msg string) BankResponse { return BankResponse{Err: msg} }
+	bal, ok := b.data[r.From]
 	switch r.Op {
 	case "open":
-		if _, ok := b.accounts[r.From]; ok {
+		if ok {
 			return fail("account exists")
 		}
-		b.accounts[r.From] = 0
-		b.editInsert(r.From)
+		b.put(r.From, 0)
 		return BankResponse{OK: true}
 	case "deposit":
-		if _, ok := b.accounts[r.From]; !ok {
+		if !ok {
 			return fail("no such account")
 		}
 		if r.Amount < 0 {
 			return fail("negative amount")
 		}
-		b.accounts[r.From] += r.Amount
-		b.editReplace(r.From)
-		return BankResponse{OK: true, Balance: b.accounts[r.From]}
+		b.put(r.From, bal+r.Amount)
+		return BankResponse{OK: true, Balance: bal + r.Amount}
 	case "withdraw":
-		bal, ok := b.accounts[r.From]
 		if !ok {
 			return fail("no such account")
 		}
 		if r.Amount < 0 || bal < r.Amount {
 			return fail("insufficient funds")
 		}
-		b.accounts[r.From] = bal - r.Amount
-		b.editReplace(r.From)
-		return BankResponse{OK: true, Balance: b.accounts[r.From]}
+		b.put(r.From, bal-r.Amount)
+		return BankResponse{OK: true, Balance: bal - r.Amount}
 	case "transfer":
-		fromBal, ok := b.accounts[r.From]
 		if !ok {
 			return fail("no such account")
 		}
-		if _, ok := b.accounts[r.To]; !ok {
+		toBal, ok := b.data[r.To]
+		if !ok {
 			return fail("no such destination")
 		}
-		if r.Amount < 0 || fromBal < r.Amount {
+		if r.Amount < 0 || bal < r.Amount {
 			return fail("insufficient funds")
 		}
-		b.accounts[r.From] -= r.Amount
-		b.accounts[r.To] += r.Amount
-		b.editReplace2(r.From, r.To)
-		return BankResponse{OK: true, Balance: b.accounts[r.From]}
+		if r.From == r.To {
+			b.put(r.From, bal)
+			return BankResponse{OK: true, Balance: bal}
+		}
+		b.putPair(r.From, bal-r.Amount, r.To, toBal+r.Amount)
+		return BankResponse{OK: true, Balance: bal - r.Amount}
 	case "balance":
-		bal, ok := b.accounts[r.From]
 		if !ok {
 			return fail("no such account")
 		}
@@ -649,56 +487,10 @@ func (b *Bank) TotalFunds() int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	var sum int64
-	for _, v := range b.accounts {
+	for _, v := range b.data {
 		sum += v
 	}
 	return sum
-}
-
-// Snapshot implements Service. Account order is canonicalized (sorted by
-// name) so identical states produce identical snapshots; the returned bytes
-// are the maintained encoding and must not be modified.
-func (b *Bank) Snapshot() ([]byte, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.snap, nil
-}
-
-// Restore implements Service.
-func (b *Bank) Restore(snapshot []byte) error {
-	var entries []bankEntry
-	if err := json.Unmarshal(snapshot, &entries); err != nil {
-		return fmt.Errorf("service: restore bank: %w", err)
-	}
-	accounts := make(map[string]int64, len(entries))
-	for _, e := range entries {
-		accounts[e.Account] = e.Balance
-	}
-	// Re-canonicalize: the editor's splices must chain from the sorted
-	// no-whitespace encoding whatever shape the input bytes had.
-	keys := make([]string, 0, len(accounts))
-	for k := range accounts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	encs := make([][]byte, len(keys))
-	canonical := make([]bankEntry, len(keys))
-	for i, k := range keys {
-		encs[i] = encodeBankEntry(k, accounts[k])
-		canonical[i] = bankEntry{Account: k, Balance: accounts[k]}
-	}
-	snap, err := json.Marshal(canonical)
-	if err != nil {
-		return fmt.Errorf("service: restore bank: %v", err)
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.accounts = accounts
-	b.snap = snap
-	b.keys = keys
-	b.encs = encs
-	b.last = SnapshotDelta{Unchanged: true}
-	return nil
 }
 
 // --- Nondeterministic wrapper -----------------------------------------

@@ -522,8 +522,8 @@ func TestBankDeltaEquivalence(t *testing.T) {
 	if err := json.Unmarshal(snap, &entries); err != nil {
 		t.Fatalf("cached snapshot is not valid: %v", err)
 	}
-	if len(entries) != len(b.accounts) {
-		t.Fatalf("snapshot has %d entries, state has %d", len(entries), len(b.accounts))
+	if len(entries) != len(b.data) {
+		t.Fatalf("snapshot has %d entries, state has %d", len(entries), len(b.data))
 	}
 }
 
