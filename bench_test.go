@@ -370,11 +370,12 @@ func BenchmarkFaultCampaignSeries(b *testing.B) {
 // blackout scenario: the whole-cluster power-loss preset replayed against
 // the in-memory store (data gone, zero write cost) and against per-server
 // WALs at two fsync cadences (real fsyncs — the cadence is the durability
-// knob CrashAll's power failure makes measurable). ns/op tracks what the
-// persistent write path adds to a live campaign; the campaign-measured
-// availability rides along per variant. The recovery semantics themselves —
-// WAL tiers reconverging with pre-blackout data, the in-memory tier
-// re-forming empty — are pinned by the blackout tests in internal/faults.
+// knob a power failure, Crash(fortress.All), makes measurable). ns/op
+// tracks what the persistent write path adds to a live campaign; the
+// campaign-measured availability rides along per variant. The recovery
+// semantics themselves — WAL tiers reconverging with pre-blackout data,
+// the in-memory tier re-forming empty — are pinned by the blackout tests
+// in internal/faults.
 func BenchmarkFaultCampaignPersistence(b *testing.B) {
 	preset, err := faults.PresetByName("blackout")
 	if err != nil {

@@ -35,11 +35,9 @@ import (
 //	campaign_shard_probes_total{group="g"}          per-shard campaign
 //	campaign_shard_available_steps_total{group="g"} probe outcomes (sweeps)
 //
-// Alongside them ride the replication-tier instruments added with the
-// sharded runtime: core_outbox_sheds_total{node=...,peer="N"} (staged
-// updates dropped by the bounded per-peer outbox) and
-// pb_updates_delta_fast_total{node=...} (primary executes that took the
-// service's own delta instead of Snapshot+DiffSnapshot).
+// Alongside them rides pb_updates_delta_fast_total{node=...}: primary
+// executes that took the service's own delta instead of
+// Snapshot+DiffSnapshot.
 func runServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "HTTP listen address for the status endpoints")

@@ -74,14 +74,14 @@ func run() error {
 			return err
 		}
 	}
-	if err := sys.CrashServer(2); err != nil {
+	if err := sys.Crash(fortress.Server(2)); err != nil {
 		return err
 	}
 	if _, err := client.Invoke("w-during-outage",
 		[]byte(`{"op":"put","key":"k0","value":"rewritten"}`)); err != nil {
 		return err
 	}
-	if err := sys.RestartServer(2); err != nil {
+	if err := sys.Restart(fortress.Server(2)); err != nil {
 		return err
 	}
 	time.Sleep(100 * time.Millisecond) // let the restarted backup resync

@@ -115,9 +115,9 @@ func TestCampaignSeriesWithInjectorBitIdentical(t *testing.T) {
 	s := space(t, 16)
 	sched := faults.Schedule{}.Append(
 		faults.Partition(2, faults.ServerAddrs(2), faults.ProxyAddrs(2)),
-		faults.CrashProxy(3, 1),
+		faults.Crash(3, fortress.Proxy(1)),
 		faults.Heal(5, faults.ServerAddrs(2), faults.ProxyAddrs(2)),
-		faults.RestartProxy(6, 1),
+		faults.Restart(6, fortress.Proxy(1)),
 	)
 	run := func(workers int) SeriesResult {
 		t.Helper()

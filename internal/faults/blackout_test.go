@@ -109,7 +109,7 @@ func waitExecuted(sys *fortress.System, want uint64, patience time.Duration) err
 // returns the number of requests executed after the restart (the frontier
 // the recovered cluster converged to).
 func blackoutDriver(sys *fortress.System, client *proxy.Client, durable bool) (uint64, error) {
-	sched := faults.Schedule{}.Append(faults.CrashAll(1), faults.RestartAll(2))
+	sched := faults.Schedule{}.Append(faults.Crash(1, fortress.All), faults.Restart(2, fortress.All))
 	inj, err := faults.NewInjector(sched, sys, nil)
 	if err != nil {
 		return 0, err
@@ -333,13 +333,13 @@ func TestBackupRestartFromWALConvergesWithoutResync(t *testing.T) {
 		t.Fatal(err)
 	}
 	victim := blackoutServers - 1
-	if err := sys.CrashServer(victim); err != nil {
+	if err := sys.Crash(fortress.Server(victim)); err != nil {
 		t.Fatal(err)
 	}
 	put(2)
 	put(3)
 	put(4) // well inside the default 256-delta retransmission window
-	if err := sys.RestartServer(victim); err != nil {
+	if err := sys.Restart(fortress.Server(victim)); err != nil {
 		t.Fatal(err)
 	}
 	waitAll()                                    // the recovered backup catches up under drops

@@ -1,47 +1,16 @@
 package faults
 
-import "fortress/internal/xrand"
+import (
+	"sort"
 
-// Schedule composition combinators: schedules are values on a shared
-// virtual clock, so compound disasters — a partition while the link is
-// lossy while a node is down — compose out of simple ones instead of being
-// hand-written event lists. All combinators copy; the inputs are never
-// mutated, so one building-block schedule can feed many compositions.
+	"fortress/internal/xrand"
+)
 
-// Shift returns a copy of s with every event delayed by dt.
-func (s Schedule) Shift(dt uint64) Schedule {
-	out := Schedule{Events: make([]Event, len(s.Events))}
-	copy(out.Events, s.Events)
-	for i := range out.Events {
-		out.Events[i].At += dt
-	}
-	return out
-}
-
-// Span returns the schedule's horizon: one past the latest event timestamp,
-// or zero for an empty schedule.
-func (s Schedule) Span() uint64 {
-	var span uint64
-	for _, e := range s.Events {
-		if e.At+1 > span {
-			span = e.At + 1
-		}
-	}
-	return span
-}
-
-// Concat composes schedules sequentially: each part is shifted past the
-// combined span of everything before it, so part i+1's clock starts where
-// part i's horizon ended. The result's span is the sum of the parts' spans.
-func Concat(parts ...Schedule) Schedule {
-	var out Schedule
-	var offset uint64
-	for _, p := range parts {
-		out.Events = append(out.Events, p.Shift(offset).Events...)
-		offset += p.Span()
-	}
-	return out
-}
+// Schedule combinators: schedules are values on a shared virtual clock, so
+// compound disasters — a partition while the link is lossy while a node is
+// down — compose out of simple ones instead of being hand-written event
+// lists. Both combinators copy; the inputs are never mutated, so one
+// building-block schedule can feed many compositions.
 
 // Merge overlays schedules on one clock: the union of all events. Events
 // sharing a timestamp fire in argument order (the injector's sort is
@@ -50,7 +19,7 @@ func Concat(parts ...Schedule) Schedule {
 func Merge(parts ...Schedule) Schedule {
 	var out Schedule
 	for _, p := range parts {
-		out.Events = append(out.Events, p.Shift(0).Events...)
+		out.Events = append(out.Events, p.Events...)
 	}
 	return out
 }
@@ -76,7 +45,7 @@ func Jitter(s Schedule, maxDelta uint64, rng *xrand.RNG) Schedule {
 	for i := range order {
 		order[i] = i
 	}
-	stableSortByAt(order, out.Events)
+	sort.SliceStable(order, func(a, b int) bool { return out.Events[order[a]].At < out.Events[order[b]].At })
 	var floor uint64
 	for _, i := range order {
 		at := out.Events[i].At + rng.Uint64n(maxDelta+1)
@@ -87,15 +56,4 @@ func Jitter(s Schedule, maxDelta uint64, rng *xrand.RNG) Schedule {
 		floor = at
 	}
 	return out
-}
-
-// stableSortByAt sorts the index slice by the events' timestamps, keeping
-// schedule order among equal timestamps (insertion sort: schedules are
-// short and mostly sorted already).
-func stableSortByAt(order []int, events []Event) {
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && events[order[j]].At < events[order[j-1]].At; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
 }

@@ -16,38 +16,6 @@ func ats(s faults.Schedule) []uint64 {
 	return out
 }
 
-func TestShiftAndSpan(t *testing.T) {
-	s := faults.Schedule{}.Append(faults.HealAll(2), faults.DropRate(7, 0.5))
-	if got := s.Span(); got != 8 {
-		t.Fatalf("Span = %d, want 8", got)
-	}
-	shifted := s.Shift(10)
-	if got := ats(shifted); !reflect.DeepEqual(got, []uint64{12, 17}) {
-		t.Fatalf("shifted ats = %v", got)
-	}
-	// The input is untouched.
-	if got := ats(s); !reflect.DeepEqual(got, []uint64{2, 7}) {
-		t.Fatalf("Shift mutated its input: %v", got)
-	}
-	if got := (faults.Schedule{}).Span(); got != 0 {
-		t.Fatalf("empty Span = %d", got)
-	}
-}
-
-func TestConcatSequencesSpans(t *testing.T) {
-	a := faults.Schedule{}.Append(faults.DropRate(0, 0.1), faults.DropRate(3, 0))
-	b := faults.Schedule{}.Append(faults.HealAll(1))
-	c := faults.Concat(a, b, a)
-	// a spans [0,4), b shifted to start at 4 spans [4,6), a again at 6.
-	want := []uint64{0, 3, 5, 6, 9}
-	if got := ats(c); !reflect.DeepEqual(got, want) {
-		t.Fatalf("concat ats = %v, want %v", got, want)
-	}
-	if got := c.Span(); got != 10 {
-		t.Fatalf("concat span = %d, want 10", got)
-	}
-}
-
 func TestMergeKeepsArgumentOrderOnTies(t *testing.T) {
 	a := faults.Schedule{}.Append(faults.DropRate(5, 0.1))
 	b := faults.Schedule{}.Append(faults.DropRate(5, 0.9), faults.HealAll(1))

@@ -1,14 +1,17 @@
 // Package faults is a deterministic fault-injection scheduler for live
-// FORTRESS campaigns: the machinery that finally drives netsim's
-// Partition/Heal/CrashAddr/drop-rate primitives over time instead of leaving
-// live campaigns to run on a pristine network.
+// FORTRESS campaigns: the machinery that drives netsim's
+// Partition/Heal/drop-rate primitives and the system's node lifecycle over
+// time instead of leaving live campaigns to run on a pristine network.
 //
-// A Schedule is a declarative list of timed events — partition or heal a cut
-// between two address groups, crash or restart a named node, change the
-// lossy-link drop rate — stamped with a virtual time. The clock is the
-// campaign's own step counter (or any other logical counter the driver
-// advances: message count, repetition index), never wall time, so a given
-// schedule replays bit-identically at any worker count and on any machine.
+// A Schedule is a declarative list of timed events, each one of seven
+// kinds: partition or heal a cut between two address groups, heal every
+// cut, crash or restart a fortress.Target (one server, one proxy, or All —
+// whose crash is a whole-cluster power loss), change the lossy-link drop
+// rate, or stall one server's disk. Each event is stamped with a virtual
+// time. The clock is the campaign's own step counter (or any other logical
+// counter the driver advances: message count, repetition index), never
+// wall time, so a given schedule replays bit-identically at any worker
+// count and on any machine.
 //
 // An Injector binds a schedule to one deployment (a netsim.Network plus a
 // fortress.System) and fires every event whose timestamp has arrived each
@@ -28,28 +31,6 @@ import (
 	"fortress/internal/xrand"
 )
 
-// NodeKind distinguishes the two crashable node tiers.
-type NodeKind int
-
-const (
-	// KindServer targets a PB server replica.
-	KindServer NodeKind = iota + 1
-	// KindProxy targets a proxy.
-	KindProxy
-)
-
-// String implements fmt.Stringer.
-func (k NodeKind) String() string {
-	switch k {
-	case KindServer:
-		return "server"
-	case KindProxy:
-		return "proxy"
-	default:
-		return fmt.Sprintf("NodeKind(%d)", int(k))
-	}
-}
-
 // EventKind enumerates the fault actions a schedule can take.
 type EventKind int
 
@@ -60,24 +41,16 @@ const (
 	EvHeal
 	// EvHealAll removes every partition on the network.
 	EvHealAll
-	// EvCrash fault-crashes one node (down until an EvRestart).
+	// EvCrash fault-crashes the event's Node target (down until an
+	// EvRestart); see fortress.System.Crash.
 	EvCrash
-	// EvRestart brings a fault-crashed node back.
+	// EvRestart brings the fault-crashed nodes of the event's Node target
+	// back; see fortress.System.Restart.
 	EvRestart
 	// EvDropRate sets the network-wide lossy-link drop probability.
 	EvDropRate
-	// EvCrashAll power-fails the whole deployment: every server and proxy
-	// crashes and durable stores lose their unsynced write-buffer tail.
-	EvCrashAll
-	// EvRestartAll brings every fault-crashed node back, servers first.
-	EvRestartAll
 	// EvDiskStall injects synchronous storage latency on one server's store.
 	EvDiskStall
-	// EvCrashGroup fault-crashes every server of one replica group — a
-	// shard-wide outage on a sharded deployment.
-	EvCrashGroup
-	// EvRestartGroup brings a fault-crashed replica group back.
-	EvRestartGroup
 )
 
 // String implements fmt.Stringer.
@@ -95,25 +68,11 @@ func (k EventKind) String() string {
 		return "restart"
 	case EvDropRate:
 		return "drop-rate"
-	case EvCrashAll:
-		return "crash-all"
-	case EvRestartAll:
-		return "restart-all"
 	case EvDiskStall:
 		return "disk-stall"
-	case EvCrashGroup:
-		return "crash-group"
-	case EvRestartGroup:
-		return "restart-group"
 	default:
 		return fmt.Sprintf("EventKind(%d)", int(k))
 	}
-}
-
-// Target names one node by tier and index.
-type Target struct {
-	Kind  NodeKind
-	Index int
 }
 
 // Event is one timed fault action. At is virtual time: the injector fires
@@ -124,15 +83,13 @@ type Event struct {
 	Kind EventKind
 	// A and B are the address groups of a partition/heal cut.
 	A, B []string
-	// Node is the crash/restart target.
-	Node Target
+	// Node is the crash/restart target, or the server whose disk stalls.
+	Node fortress.Target
 	// Rate is the EvDropRate probability.
 	Rate float64
 	// Stall is the EvDiskStall injected sync latency; non-positive clears
 	// a previously injected stall.
 	Stall time.Duration
-	// Group is the EvCrashGroup/EvRestartGroup replica-group index.
-	Group int
 }
 
 // Partition returns an event severing every (a, b) cross pair at time t.
@@ -148,24 +105,17 @@ func Heal(t uint64, a, b []string) Event {
 // HealAll returns an event removing every partition at time t.
 func HealAll(t uint64) Event { return Event{At: t, Kind: EvHealAll} }
 
-// CrashServer returns an event fault-crashing server i at time t.
-func CrashServer(t uint64, i int) Event {
-	return Event{At: t, Kind: EvCrash, Node: Target{Kind: KindServer, Index: i}}
+// Crash returns an event fault-crashing target at time t. Crashing
+// fortress.All power-fails the whole deployment: every server and proxy
+// goes down, and any durable store loses writes it had not yet synced.
+func Crash(t uint64, target fortress.Target) Event {
+	return Event{At: t, Kind: EvCrash, Node: target}
 }
 
-// CrashProxy returns an event fault-crashing proxy i at time t.
-func CrashProxy(t uint64, i int) Event {
-	return Event{At: t, Kind: EvCrash, Node: Target{Kind: KindProxy, Index: i}}
-}
-
-// RestartServer returns an event restarting fault-crashed server i at time t.
-func RestartServer(t uint64, i int) Event {
-	return Event{At: t, Kind: EvRestart, Node: Target{Kind: KindServer, Index: i}}
-}
-
-// RestartProxy returns an event restarting fault-crashed proxy i at time t.
-func RestartProxy(t uint64, i int) Event {
-	return Event{At: t, Kind: EvRestart, Node: Target{Kind: KindProxy, Index: i}}
+// Restart returns an event restarting target's fault-crashed nodes at time
+// t; for fortress.All, servers (in index order) before proxies.
+func Restart(t uint64, target fortress.Target) Event {
+	return Event{At: t, Kind: EvRestart, Node: target}
 }
 
 // DropRate returns an event setting the lossy-link drop probability at
@@ -174,33 +124,12 @@ func DropRate(t uint64, p float64) Event {
 	return Event{At: t, Kind: EvDropRate, Rate: p}
 }
 
-// CrashAll returns an event power-failing the whole deployment at time t:
-// every server and proxy crashes, and any durable store loses writes it had
-// not yet synced.
-func CrashAll(t uint64) Event { return Event{At: t, Kind: EvCrashAll} }
-
-// RestartAll returns an event restarting every fault-crashed node at time t,
-// servers (in index order) before proxies.
-func RestartAll(t uint64) Event { return Event{At: t, Kind: EvRestartAll} }
-
 // DiskStall returns an event injecting d of synchronous storage latency on
 // server i's store at time t. A non-positive d clears the stall. The event
 // is a no-op for servers without a stall-capable store (e.g. the in-memory
 // default).
 func DiskStall(t uint64, i int, d time.Duration) Event {
-	return Event{At: t, Kind: EvDiskStall, Node: Target{Kind: KindServer, Index: i}, Stall: d}
-}
-
-// CrashGroup returns an event fault-crashing every server of replica group
-// g at time t — one shard goes dark while the rest keep serving.
-func CrashGroup(t uint64, g int) Event {
-	return Event{At: t, Kind: EvCrashGroup, Group: g}
-}
-
-// RestartGroup returns an event restarting replica group g's fault-crashed
-// servers at time t.
-func RestartGroup(t uint64, g int) Event {
-	return Event{At: t, Kind: EvRestartGroup, Group: g}
+	return Event{At: t, Kind: EvDiskStall, Node: fortress.Server(i), Stall: d}
 }
 
 // Schedule is a declarative fault plan: events over virtual time. The zero
@@ -309,33 +238,11 @@ func (in *Injector) apply(e Event) error {
 	case EvDropRate:
 		in.net.SetDropRate(e.Rate, in.rng)
 	case EvCrash:
-		switch e.Node.Kind {
-		case KindServer:
-			return in.sys.CrashServer(e.Node.Index)
-		case KindProxy:
-			return in.sys.CrashProxy(e.Node.Index)
-		default:
-			return fmt.Errorf("crash: unknown node kind %v", e.Node.Kind)
-		}
+		return in.sys.Crash(e.Node)
 	case EvRestart:
-		switch e.Node.Kind {
-		case KindServer:
-			return in.sys.RestartServer(e.Node.Index)
-		case KindProxy:
-			return in.sys.RestartProxy(e.Node.Index)
-		default:
-			return fmt.Errorf("restart: unknown node kind %v", e.Node.Kind)
-		}
-	case EvCrashAll:
-		return in.sys.CrashAll()
-	case EvRestartAll:
-		return in.sys.RestartAll()
+		return in.sys.Restart(e.Node)
 	case EvDiskStall:
-		return in.sys.StallDisk(e.Node.Index, e.Stall)
-	case EvCrashGroup:
-		return in.sys.CrashGroup(e.Group)
-	case EvRestartGroup:
-		return in.sys.RestartGroup(e.Group)
+		return in.sys.StallDisk(e.Node.Index(), e.Stall)
 	default:
 		return fmt.Errorf("unknown event kind %v", e.Kind)
 	}

@@ -40,8 +40,8 @@ func testSystem(t *testing.T, servers, proxies int) *fortress.System {
 func TestInjectorFiresInTimestampOrder(t *testing.T) {
 	sys := testSystem(t, 2, 2)
 	sched := faults.Schedule{}.Append(
-		faults.RestartProxy(4, 1), // listed out of order: the injector sorts by At
-		faults.CrashProxy(2, 1),
+		faults.Restart(4, fortress.Proxy(1)), // listed out of order: the injector sorts by At
+		faults.Crash(2, fortress.Proxy(1)),
 	)
 	inj, err := faults.NewInjector(sched, sys, nil)
 	if err != nil {
@@ -115,7 +115,7 @@ func TestInjectorPartitionAndHeal(t *testing.T) {
 // the outage.
 func TestFaultCrashSurvivesRecoverAndRerandomize(t *testing.T) {
 	sys := testSystem(t, 3, 2)
-	if err := sys.CrashServer(1); err != nil {
+	if err := sys.Crash(fortress.Server(1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.Recover(); err != nil {
@@ -136,7 +136,7 @@ func TestFaultCrashSurvivesRecoverAndRerandomize(t *testing.T) {
 	if _, err := sys.Net().Dial("probe", fortress.ServerAddr(1)); err == nil {
 		t.Fatal("fault-crashed server accepted a dial after Rerandomize")
 	}
-	if err := sys.RestartServer(1); err != nil {
+	if err := sys.Restart(fortress.Server(1)); err != nil {
 		t.Fatal(err)
 	}
 	if st := sys.Status(); st.ServersDown != 0 {
@@ -145,7 +145,7 @@ func TestFaultCrashSurvivesRecoverAndRerandomize(t *testing.T) {
 	// Restarting a node that is not fault-crashed is a harmless no-op: the
 	// live replica keeps its connections instead of being rebuilt.
 	before := sys.Servers()[1]
-	if err := sys.RestartServer(1); err != nil {
+	if err := sys.Restart(fortress.Server(1)); err != nil {
 		t.Fatal(err)
 	}
 	if sys.Servers()[1] != before {
@@ -202,7 +202,7 @@ func TestInjectorValidation(t *testing.T) {
 	if _, err := faults.NewInjector(sched, sys, xrand.New(1)); err != nil {
 		t.Fatalf("drop-rate schedule with rng rejected: %v", err)
 	}
-	bad := faults.Schedule{}.Append(faults.CrashServer(0, 99))
+	bad := faults.Schedule{}.Append(faults.Crash(0, fortress.Server(99)))
 	inj, err := faults.NewInjector(bad, sys, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -263,20 +263,20 @@ func TestConcurrentDropRateAndRestartUnderTraffic(t *testing.T) {
 	go func() { // node churn
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
-			if err := sys.CrashProxy(1); err != nil {
+			if err := sys.Crash(fortress.Proxy(1)); err != nil {
 				t.Error(err)
 				return
 			}
-			if err := sys.CrashServer(2); err != nil {
+			if err := sys.Crash(fortress.Server(2)); err != nil {
 				t.Error(err)
 				return
 			}
 			time.Sleep(time.Millisecond)
-			if err := sys.RestartProxy(1); err != nil {
+			if err := sys.Restart(fortress.Proxy(1)); err != nil {
 				t.Error(err)
 				return
 			}
-			if err := sys.RestartServer(2); err != nil {
+			if err := sys.Restart(fortress.Server(2)); err != nil {
 				t.Error(err)
 				return
 			}

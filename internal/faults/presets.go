@@ -3,6 +3,8 @@ package faults
 import (
 	"fmt"
 	"time"
+
+	"fortress/internal/fortress"
 )
 
 // Shape describes the deployment a preset schedule is built for.
@@ -153,8 +155,8 @@ func buildQuorumPartition(shape Shape, horizon uint64) Schedule {
 func buildProxyOutage(shape Shape, horizon uint64) Schedule {
 	from, to := middleHalf(horizon)
 	return Schedule{}.Append(
-		CrashProxy(from, shape.Proxies-1),
-		RestartProxy(to, shape.Proxies-1),
+		Crash(from, fortress.Proxy(shape.Proxies-1)),
+		Restart(to, fortress.Proxy(shape.Proxies-1)),
 	)
 }
 
@@ -172,8 +174,8 @@ func buildLossy(shape Shape, horizon uint64) Schedule {
 func buildBlackout(shape Shape, horizon uint64) Schedule {
 	from, to := middleHalf(horizon)
 	return Schedule{}.Append(
-		CrashAll(from),
-		RestartAll(to),
+		Crash(from, fortress.All),
+		Restart(to, fortress.All),
 	)
 }
 

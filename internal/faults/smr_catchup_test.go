@@ -110,8 +110,8 @@ func TestSMRCatchupUnderQuorumPartition(t *testing.T) {
 	sched := faults.Merge(
 		preset.Build(faults.Shape{Servers: servers, Proxies: proxies}, steps),
 		faults.Schedule{}.Append(
-			faults.CrashServer(1, servers-1),
-			faults.RestartServer(8, servers-1),
+			faults.Crash(1, fortress.Server(servers-1)),
+			faults.Restart(8, fortress.Server(servers-1)),
 		),
 	)
 	runSMRFaultCampaign(t, sched, servers, proxies, steps)
@@ -133,8 +133,8 @@ func TestSMRCatchupUnderRollingPartition(t *testing.T) {
 	sched := faults.Merge(
 		preset.Build(faults.Shape{Servers: servers, Proxies: proxies}, steps),
 		faults.Schedule{}.Append(
-			faults.CrashServer(1, servers-1),
-			faults.RestartServer(8, servers-1),
+			faults.Crash(1, fortress.Server(servers-1)),
+			faults.Restart(8, fortress.Server(servers-1)),
 		),
 	)
 	runSMRFaultCampaign(t, sched, servers, proxies, steps)
@@ -230,13 +230,13 @@ func TestSMRRebuildDoesNotForkSequencer(t *testing.T) {
 	converged(3)
 
 	// Down the sequencer long enough for the followers to fail over.
-	if err := sys.CrashServer(0); err != nil {
+	if err := sys.Crash(fortress.Server(0)); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(400 * time.Millisecond) // > HeartbeatTimeout: server 1 takes over
 	invoke("w3", `{"op":"put","key":"k","value":"v2"}`)
 
-	if err := sys.RestartServer(0); err != nil {
+	if err := sys.Restart(fortress.Server(0)); err != nil {
 		t.Fatal(err)
 	}
 	invoke("w4", `{"op":"put","key":"k","value":"v3"}`)

@@ -154,6 +154,9 @@ func (c Config) validate() error {
 	return nil
 }
 
+// errStopped is what every call on a stopped system returns.
+var errStopped = errors.New("fortress: system stopped")
+
 // System is a running FORTRESS deployment.
 type System struct {
 	cfg  Config
@@ -181,11 +184,11 @@ type System struct {
 	// objects mounted on it — that is the point.
 	stores []store.Store
 
-	// Fault-injected outages (CrashServer/CrashProxy): unlike probe crashes,
-	// these model power/hardware failures, so Recover's forking-daemon
-	// respawn must NOT resurrect them and a re-randomization epoch reboots
-	// them into the same dead state. Only RestartServer/RestartProxy (or a
-	// fault schedule's Restart event) bring them back.
+	// Fault-injected outages (Crash): unlike probe crashes, these model
+	// power/hardware failures, so Recover's forking-daemon respawn must NOT
+	// resurrect them and a re-randomization epoch reboots them into the
+	// same dead state. Only Restart (or a fault schedule's restart event)
+	// brings them back.
 	downServers map[int]bool
 	downProxies map[int]bool
 
@@ -274,10 +277,6 @@ func ServerAddr(i int) string { return fmt.Sprintf("fortress-server-%d", i) }
 // ProxyAddr returns the stable netsim address of proxy i.
 func ProxyAddr(i int) string { return fmt.Sprintf("fortress-proxy-%d", i) }
 
-// serverAddr and proxyAddr are the internal aliases.
-func serverAddr(i int) string { return ServerAddr(i) }
-func proxyAddr(i int) string  { return ProxyAddr(i) }
-
 // buildEpochLocked stands up all nodes for a new epoch, restoring each
 // group's service state from snapshots (indexed by group) when given.
 // Caller holds s.mu.
@@ -303,34 +302,17 @@ func (s *System) buildEpochLocked(snapshots [][]byte) error {
 		// group's snapshot, so even the SMR backend restores directly —
 		// there is no live leader ahead of the group to catch up from.
 		var snapshot []byte
-		if g := s.groupOf(i); g < len(snapshots) {
+		if g := s.GroupOf(i); g < len(snapshots) {
 			snapshot = snapshots[g]
 		}
-		if err := s.startServerLocked(i, snapshot, s.groupOf(i)*s.cfg.Servers, nil); err != nil {
+		if err := s.startServerLocked(i, snapshot, s.GroupOf(i)*s.cfg.Servers, nil); err != nil {
 			return err
 		}
 	}
 
 	s.proxies = make([]*proxy.Proxy, s.cfg.Proxies)
 	for i := 0; i < s.cfg.Proxies; i++ {
-		p, err := proxy.New(proxy.Config{
-			ID:              fmt.Sprintf("proxy-%d", i),
-			Addr:            proxyAddr(i),
-			Keys:            s.proxySig[i],
-			NS:              s.ns,
-			Net:             s.net,
-			Detector:        s.detector,
-			Proc:            memlayout.NewProcess(s.proxyKeys[i]),
-			ServerTimeout:   s.cfg.ServerTimeout,
-			Ring:            s.ring,
-			ServersPerGroup: s.cfg.Servers,
-			Metrics:         s.cfg.Metrics,
-		})
-		if err != nil {
-			return fmt.Errorf("fortress: proxy %d: %w", i, err)
-		}
-		s.proxies[i] = p
-		if err := s.ns.RegisterProxy(p.ID(), p.Addr(), p.PublicKey()); err != nil {
+		if err := s.startProxyLocked(i); err != nil {
 			return err
 		}
 	}
@@ -355,10 +337,10 @@ func (s *System) teardownLocked() {
 	}
 	// Clear any crashed addresses so fresh listeners can bind.
 	for i := 0; i < s.cfg.totalServers(); i++ {
-		s.net.CrashAddr(serverAddr(i))
+		s.net.CrashAddr(ServerAddr(i))
 	}
 	for i := 0; i < s.cfg.Proxies; i++ {
-		s.net.CrashAddr(proxyAddr(i))
+		s.net.CrashAddr(ProxyAddr(i))
 	}
 }
 
@@ -369,7 +351,7 @@ func (s *System) Rerandomize() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.stopped {
-		return errors.New("fortress: system stopped")
+		return errStopped
 	}
 	snapshots := s.snapshotsLocked()
 	s.teardownLocked()
@@ -398,14 +380,14 @@ func (s *System) Recover() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.stopped {
-		return errors.New("fortress: system stopped")
+		return errStopped
 	}
 	snapshots := s.snapshotsLocked()
 	for i, g := range s.guards {
 		if !g.Process().Crashed() || s.downServers[i] {
 			continue
 		}
-		if err := s.rebuildServerLocked(i, snapshots[s.groupOf(i)]); err != nil {
+		if err := s.rebuildServerLocked(i, snapshots[s.GroupOf(i)]); err != nil {
 			return err
 		}
 	}
@@ -420,137 +402,87 @@ func (s *System) Recover() error {
 	return nil
 }
 
-// CrashServer fault-crashes server i: the replica is torn out of the network
-// and stays down — across Recover and across re-randomization epochs — until
-// RestartServer. This models a node-level outage (power, hardware, kernel
-// panic), as distinct from the probe-induced process crash a forking daemon
-// absorbs.
-func (s *System) CrashServer(i int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.stopped {
-		return errors.New("fortress: system stopped")
-	}
-	if i < 0 || i >= len(s.servers) {
-		return fmt.Errorf("fortress: no server %d", i)
-	}
-	s.downServers[i] = true
-	s.servers[i].Crash()
-	s.mFaultCrashes.Inc()
-	s.traceEvent(metrics.KindCrash, serverAddr(i))
-	return nil
+// Target names the nodes a fault crash or restart acts on: one server,
+// one proxy, or All.
+type Target struct{ tier, index int }
+
+const (
+	serverTier = iota + 1
+	proxyTier
+	allTiers
+)
+
+// Server targets server i, a global index across replica groups.
+func Server(i int) Target { return Target{serverTier, i} }
+
+// Proxy targets proxy i.
+func Proxy(i int) Target { return Target{proxyTier, i} }
+
+// All targets every server and proxy.
+var All = Target{tier: allTiers}
+
+// Index returns the server or proxy index t names.
+func (t Target) Index() int { return t.index }
+
+// names reports whether t names node i of tier.
+func (t Target) names(tier, i int) bool {
+	return t.tier == allTiers || t.tier == tier && t.index == i
 }
 
-// CrashProxy fault-crashes proxy i; see CrashServer for semantics.
-func (s *System) CrashProxy(i int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.stopped {
-		return errors.New("fortress: system stopped")
-	}
-	if i < 0 || i >= len(s.proxies) {
-		return fmt.Errorf("fortress: no proxy %d", i)
-	}
-	s.downProxies[i] = true
-	s.proxies[i].Crash()
-	s.mProxyCrashes.Inc()
-	s.traceEvent(metrics.KindCrash, proxyAddr(i))
-	return nil
-}
-
-// RestartServer ends a fault outage: server i rejoins under the current
-// shared randomization key with state restored from a live peer's snapshot —
-// the reconnect-and-resync idiom of a supervised tunnel process. It is a
-// no-op error-free call if the server was never fault-crashed but is down
-// for another reason; probe crashes remain Recover's business.
-func (s *System) RestartServer(i int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.stopped {
-		return errors.New("fortress: system stopped")
-	}
-	if i < 0 || i >= len(s.servers) {
-		return fmt.Errorf("fortress: no server %d", i)
-	}
-	if !s.downServers[i] {
-		return nil // not fault-crashed: nothing to end, and a live node stays up
-	}
-	delete(s.downServers, i)
-	s.mFaultRestarts.Inc()
-	s.traceEvent(metrics.KindRestart, serverAddr(i))
-	return s.rebuildServerLocked(i, s.snapshotGroupLocked(s.groupOf(i)))
-}
-
-// CrashGroup fault-crashes every server of replica group g in index
-// order: a shard-wide outage. The other groups keep serving their slices
-// of the keyspace — the blast radius a sharded deployment exists to
-// bound. See CrashServer for the outage semantics.
-func (s *System) CrashGroup(g int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.stopped {
-		return errors.New("fortress: system stopped")
-	}
-	if g < 0 || g >= s.cfg.groups() {
-		return fmt.Errorf("fortress: no group %d", g)
-	}
-	for i := g * s.cfg.Servers; i < (g+1)*s.cfg.Servers; i++ {
-		s.downServers[i] = true
-		s.servers[i].Crash()
-		s.mFaultCrashes.Inc()
-		s.traceEvent(metrics.KindCrash, serverAddr(i))
+// checkLocked makes the checks every lifecycle call makes. Caller holds
+// s.mu.
+func (s *System) checkLocked(t Target) error {
+	switch {
+	case s.stopped:
+		return errStopped
+	case t.tier == serverTier && (t.index < 0 || t.index >= len(s.servers)):
+		return fmt.Errorf("fortress: no server %d", t.index)
+	case t.tier == proxyTier && (t.index < 0 || t.index >= len(s.proxies)):
+		return fmt.Errorf("fortress: no proxy %d", t.index)
+	case t.tier == 0:
+		return errors.New("fortress: no target")
 	}
 	return nil
 }
 
-// RestartGroup ends a shard-wide outage: every fault-downed server of
-// group g is rebuilt in index order. See RestartServer for the rejoin
-// semantics.
-func (s *System) RestartGroup(g int) error {
+// Crash fault-crashes the nodes t names, in index order: each is torn out
+// of the network and stays down — across Recover and across
+// re-randomization epochs — until Restart. This models a node-level
+// outage (power, hardware, kernel panic), as distinct from the
+// probe-induced process crash a forking daemon absorbs.
+//
+// Crash(All) is a whole-cluster power loss: every server and proxy records
+// a power-fail trace instead of a crash, and every durable store loses the
+// buffered writes past its last sync point, which makes the fsync cadence
+// a real durability knob.
+func (s *System) Crash(t Target) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.stopped {
-		return errors.New("fortress: system stopped")
+	if err := s.checkLocked(t); err != nil {
+		return err
 	}
-	if g < 0 || g >= s.cfg.groups() {
-		return fmt.Errorf("fortress: no group %d", g)
+	kind := metrics.KindCrash
+	if t == All {
+		kind = metrics.KindPowerFail
 	}
-	for i := g * s.cfg.Servers; i < (g+1)*s.cfg.Servers; i++ {
-		if !s.downServers[i] {
-			continue
-		}
-		delete(s.downServers, i)
-		s.mFaultRestarts.Inc()
-		s.traceEvent(metrics.KindRestart, serverAddr(i))
-		if err := s.rebuildServerLocked(i, s.snapshotGroupLocked(g)); err != nil {
-			return err
+	for i, srv := range s.servers {
+		if t.names(serverTier, i) {
+			s.downServers[i] = true
+			srv.Crash()
+			s.mFaultCrashes.Inc()
+			s.traceEvent(kind, ServerAddr(i))
 		}
 	}
-	return nil
-}
-
-// CrashAll models a whole-cluster power loss: every server and proxy is
-// fault-crashed in index order, and every durable store suffers a power
-// failure — buffered writes past its last sync point are gone, making the
-// fsync cadence a real durability knob. Nothing comes back until
-// RestartAll (or per-node restarts).
-func (s *System) CrashAll() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.stopped {
-		return errors.New("fortress: system stopped")
+	for i, p := range s.proxies {
+		if t.names(proxyTier, i) {
+			s.downProxies[i] = true
+			p.Crash()
+			s.mProxyCrashes.Inc()
+			s.traceEvent(kind, ProxyAddr(i))
+		}
 	}
-	for i := range s.servers {
-		s.downServers[i] = true
-		s.servers[i].Crash()
-		s.mFaultCrashes.Inc()
-		s.traceEvent(metrics.KindPowerFail, serverAddr(i))
-	}
-	for i := range s.proxies {
-		s.downProxies[i] = true
-		s.proxies[i].Crash()
-		s.mProxyCrashes.Inc()
-		s.traceEvent(metrics.KindPowerFail, proxyAddr(i))
+	if t != All {
+		return nil
 	}
 	for i, st := range s.stores {
 		if pf, ok := st.(store.PowerFailer); ok {
@@ -563,42 +495,64 @@ func (s *System) CrashAll() error {
 	return nil
 }
 
-// RestartAll ends a whole-cluster outage: every fault-downed server and
-// proxy is rebuilt in index order. With durable stores each server recovers
-// its own state from disk — there is no live donor after a blackout. With
-// the in-memory default the first server comes back empty and donates its
-// empty state to the rest: the cluster converges, the data is gone. That
-// asymmetry is the headline the blackout preset exists to show.
-func (s *System) RestartAll() error {
+// Restart ends the outage of every node t names that Crash took down,
+// servers in index order before proxies. A node that is not fault-crashed
+// is left as it is; probe crashes remain Recover's business. A server
+// rejoins under the current shared key with state restored from a live
+// peer's snapshot (the reconnect-and-resync idiom of a supervised
+// process), a proxy under its current key.
+//
+// Each server's donor snapshot is taken after the servers below it were
+// rebuilt. So after a blackout, durable stores let each server recover its
+// own state from disk — there is no live donor — while with the in-memory
+// default the first server comes back empty and donates its empty state
+// to the rest: the cluster converges, the data is gone. That asymmetry is
+// the headline the blackout preset exists to show.
+func (s *System) Restart(t Target) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.stopped {
-		return errors.New("fortress: system stopped")
+	if err := s.checkLocked(t); err != nil {
+		return err
 	}
 	for i := range s.servers {
-		if !s.downServers[i] {
+		if !t.names(serverTier, i) || !s.downServers[i] {
 			continue
 		}
 		delete(s.downServers, i)
 		s.mFaultRestarts.Inc()
-		s.traceEvent(metrics.KindRestart, serverAddr(i))
-		if err := s.rebuildServerLocked(i, s.snapshotGroupLocked(s.groupOf(i))); err != nil {
+		s.traceEvent(metrics.KindRestart, ServerAddr(i))
+		if err := s.rebuildServerLocked(i, s.snapshotGroupLocked(s.GroupOf(i))); err != nil {
 			return err
 		}
 	}
 	for i := range s.proxies {
-		if !s.downProxies[i] {
+		if !t.names(proxyTier, i) || !s.downProxies[i] {
 			continue
 		}
 		delete(s.downProxies, i)
 		s.mProxyRestarts.Inc()
-		s.traceEvent(metrics.KindRestart, proxyAddr(i))
+		s.traceEvent(metrics.KindRestart, ProxyAddr(i))
 		if err := s.rebuildProxyLocked(i); err != nil {
 			return err
 		}
 	}
 	return nil
 }
+
+// CrashServer is Crash(Server(i)). It and the three forwarders below stay
+// only for the request-path benchmark in bench/, whose sources are held
+// fixed so that its runs compare across changes; other code calls Crash
+// and Restart.
+func (s *System) CrashServer(i int) error { return s.Crash(Server(i)) }
+
+// RestartServer is Restart(Server(i)); see CrashServer.
+func (s *System) RestartServer(i int) error { return s.Restart(Server(i)) }
+
+// CrashAll is Crash(All); see CrashServer.
+func (s *System) CrashAll() error { return s.Crash(All) }
+
+// RestartAll is Restart(All); see CrashServer.
+func (s *System) RestartAll() error { return s.Restart(All) }
 
 // StallDisk injects d of latency into every sync point of server i's store
 // (cadenced log syncs and snapshot writes), modeling a stalling disk; a
@@ -607,11 +561,8 @@ func (s *System) RestartAll() error {
 func (s *System) StallDisk(i int, d time.Duration) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.stopped {
-		return errors.New("fortress: system stopped")
-	}
-	if i < 0 || i >= len(s.stores) {
-		return fmt.Errorf("fortress: no server %d", i)
+	if err := s.checkLocked(Server(i)); err != nil {
+		return err
 	}
 	if st, ok := s.stores[i].(store.Staller); ok {
 		st.SetStall(d)
@@ -631,25 +582,6 @@ func (s *System) ServerStore(i int) store.Store {
 	return s.stores[i]
 }
 
-// RestartProxy ends a fault outage for proxy i; see RestartServer.
-func (s *System) RestartProxy(i int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.stopped {
-		return errors.New("fortress: system stopped")
-	}
-	if i < 0 || i >= len(s.proxies) {
-		return fmt.Errorf("fortress: no proxy %d", i)
-	}
-	if !s.downProxies[i] {
-		return nil // not fault-crashed: nothing to end, and a live node stays up
-	}
-	delete(s.downProxies, i)
-	s.mProxyRestarts.Inc()
-	s.traceEvent(metrics.KindRestart, proxyAddr(i))
-	return s.rebuildProxyLocked(i)
-}
-
 // rebuildServerLocked replaces server i with a fresh replica under the
 // current shared key. The PB backend restores state from a live peer's
 // snapshot (the next primary update carries a full snapshot anyway); the
@@ -663,7 +595,7 @@ func (s *System) RestartProxy(i int) error {
 // Caller holds s.mu.
 func (s *System) rebuildServerLocked(i int, snapshot []byte) error {
 	s.servers[i].Stop()
-	s.net.CrashAddr(serverAddr(i))
+	s.net.CrashAddr(ServerAddr(i))
 	if s.storeHasStateLocked(i) {
 		// The store outlived the crash: the engine recovers from its own
 		// disk (RecoverFromStore runs inside New) and protocol catch-up
@@ -712,7 +644,7 @@ type smrSeed struct {
 // identically from sequence one, consistent precisely because nobody
 // retains anything newer. Caller holds s.mu.
 func (s *System) smrSeedLocked(i int) *smrSeed {
-	g := s.groupOf(i)
+	g := s.GroupOf(i)
 	for j := g * s.cfg.Servers; j < (g+1)*s.cfg.Servers; j++ {
 		srv := s.servers[j]
 		if j == i || s.downServers[j] {
@@ -749,10 +681,10 @@ func (s *System) startServerLocked(i int, snapshot []byte, initialPrimary int, s
 	// The replication protocol is per group: peers are the global indices
 	// of server i's own group only, so each group elects and sequences
 	// independently of the others.
-	g := s.groupOf(i)
+	g := s.GroupOf(i)
 	peers := make(map[int]string, s.cfg.Servers)
 	for j := g * s.cfg.Servers; j < (g+1)*s.cfg.Servers; j++ {
-		peers[j] = serverAddr(j)
+		peers[j] = ServerAddr(j)
 	}
 	st, err := s.storeLocked(i)
 	if err != nil {
@@ -846,10 +778,16 @@ func (s *System) storeLocked(i int) (store.Store, error) {
 // current key. Caller holds s.mu.
 func (s *System) rebuildProxyLocked(i int) error {
 	s.proxies[i].Stop()
-	s.net.CrashAddr(proxyAddr(i))
+	s.net.CrashAddr(ProxyAddr(i))
+	return s.startProxyLocked(i)
+}
+
+// startProxyLocked builds and registers proxy i under its current key.
+// Caller holds s.mu.
+func (s *System) startProxyLocked(i int) error {
 	p, err := proxy.New(proxy.Config{
 		ID:              fmt.Sprintf("proxy-%d", i),
-		Addr:            proxyAddr(i),
+		Addr:            ProxyAddr(i),
 		Keys:            s.proxySig[i],
 		NS:              s.ns,
 		Net:             s.net,
@@ -861,7 +799,7 @@ func (s *System) rebuildProxyLocked(i int) error {
 		Metrics:         s.cfg.Metrics,
 	})
 	if err != nil {
-		return fmt.Errorf("fortress: recover proxy %d: %w", i, err)
+		return fmt.Errorf("fortress: proxy %d: %w", i, err)
 	}
 	s.proxies[i] = p
 	return s.ns.RegisterProxy(p.ID(), p.Addr(), p.PublicKey())
@@ -891,9 +829,6 @@ func (s *System) snapshotsLocked() [][]byte {
 	}
 	return out
 }
-
-// groupOf maps a global server index to its replica group.
-func (s *System) groupOf(i int) int { return i / s.cfg.Servers }
 
 // Epoch returns the number of completed re-randomizations.
 func (s *System) Epoch() uint64 {
@@ -987,8 +922,8 @@ type Status struct {
 	ServersCrashed     int
 	ProxiesCompromised int
 	ProxiesCrashed     int
-	// ServersDown and ProxiesDown count fault-injected outages
-	// (CrashServer/CrashProxy) awaiting an explicit restart — disjoint from
+	// ServersDown and ProxiesDown count fault-injected outages (Crash)
+	// awaiting an explicit Restart — disjoint from
 	// the probe-crash counts above, which Recover repairs.
 	ServersDown int
 	ProxiesDown int

@@ -57,13 +57,13 @@ func TestLifecycleContract(t *testing.T) {
 	}{
 		{
 			name:    "server",
-			crash:   func(s *System) error { return s.CrashServer(1) },
-			restart: func(s *System) error { return s.RestartServer(1) },
+			crash:   func(s *System) error { return s.Crash(Server(1)) },
+			restart: func(s *System) error { return s.Restart(Server(1)) },
 			outOfRange: []func(*System) error{
-				func(s *System) error { return s.CrashServer(servers) },
-				func(s *System) error { return s.CrashServer(-1) },
-				func(s *System) error { return s.RestartServer(servers) },
-				func(s *System) error { return s.RestartServer(-1) },
+				func(s *System) error { return s.Crash(Server(servers)) },
+				func(s *System) error { return s.Crash(Server(-1)) },
+				func(s *System) error { return s.Restart(Server(servers)) },
+				func(s *System) error { return s.Restart(Server(-1)) },
 			},
 			nodes:      []string{ServerAddr(1)},
 			kind:       metrics.KindCrash,
@@ -75,13 +75,13 @@ func TestLifecycleContract(t *testing.T) {
 		},
 		{
 			name:    "proxy",
-			crash:   func(s *System) error { return s.CrashProxy(1) },
-			restart: func(s *System) error { return s.RestartProxy(1) },
+			crash:   func(s *System) error { return s.Crash(Proxy(1)) },
+			restart: func(s *System) error { return s.Restart(Proxy(1)) },
 			outOfRange: []func(*System) error{
-				func(s *System) error { return s.CrashProxy(proxies) },
-				func(s *System) error { return s.CrashProxy(-1) },
-				func(s *System) error { return s.RestartProxy(proxies) },
-				func(s *System) error { return s.RestartProxy(-1) },
+				func(s *System) error { return s.Crash(Proxy(proxies)) },
+				func(s *System) error { return s.Crash(Proxy(-1)) },
+				func(s *System) error { return s.Restart(Proxy(proxies)) },
+				func(s *System) error { return s.Restart(Proxy(-1)) },
 			},
 			nodes:      []string{ProxyAddr(1)},
 			kind:       metrics.KindCrash,
@@ -93,8 +93,8 @@ func TestLifecycleContract(t *testing.T) {
 		},
 		{
 			name:    "all",
-			crash:   func(s *System) error { return s.CrashAll() },
-			restart: func(s *System) error { return s.RestartAll() },
+			crash:   func(s *System) error { return s.Crash(All) },
+			restart: func(s *System) error { return s.Restart(All) },
 			nodes:   all,
 			kind:    metrics.KindPowerFail,
 			afterCrash: map[string]uint64{

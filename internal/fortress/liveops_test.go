@@ -124,10 +124,10 @@ func TestTraceRingWraparoundUnderChurn(t *testing.T) {
 	const cycles = 6
 	var midpoint []metrics.Event
 	for i := 0; i < cycles; i++ {
-		if err := sys.CrashServer(1); err != nil {
+		if err := sys.Crash(Server(1)); err != nil {
 			t.Fatal(err)
 		}
-		if err := sys.RestartServer(1); err != nil {
+		if err := sys.Restart(Server(1)); err != nil {
 			t.Fatal(err)
 		}
 		if i == 1 {

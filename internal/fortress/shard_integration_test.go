@@ -98,10 +98,10 @@ func TestShardRoutingSurvivesProxyRebuild(t *testing.T) {
 	k0, k1 := ring.ProbeKey(0), ring.ProbeKey(1)
 
 	for i := 0; i < 3; i++ {
-		if err := sys.CrashProxy(i); err != nil {
+		if err := sys.Crash(fortress.Proxy(i)); err != nil {
 			t.Fatal(err)
 		}
-		if err := sys.RestartProxy(i); err != nil {
+		if err := sys.Restart(fortress.Proxy(i)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -95,20 +95,20 @@ func TestReplyTableTransfer(t *testing.T) {
 					if backend == replica.BackendPB {
 						rebuilt = []int{0}
 					}
-					if err := sys.CrashAll(); err != nil {
+					if err := sys.Crash(fortress.All); err != nil {
 						t.Fatal(err)
 					}
-					if err := sys.RestartAll(); err != nil {
+					if err := sys.Restart(fortress.All); err != nil {
 						t.Fatal(err)
 					}
 				} else {
 					// Index 0 leads both backends from the start; the last
 					// server is rebuilt empty and seeded by the live group.
 					rebuilt = []int{servers - 1}
-					if err := sys.CrashServer(servers - 1); err != nil {
+					if err := sys.Crash(fortress.Server(servers - 1)); err != nil {
 						t.Fatal(err)
 					}
-					if err := sys.RestartServer(servers - 1); err != nil {
+					if err := sys.Restart(fortress.Server(servers - 1)); err != nil {
 						t.Fatal(err)
 					}
 				}

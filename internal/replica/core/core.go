@@ -93,17 +93,6 @@ type StoreRecoverer interface {
 	RecoverFromStore() error
 }
 
-// OutboxShedHandler is implemented by protocol handlers that want to hear
-// when a bounded outbox (Config.OutboxLimit) shed staged messages for a
-// peer. The runtime delivers the notification from Flush — after the
-// handler call that staged past the limit has returned, never from inside
-// stage — so implementations may take their own locks, but must not block:
-// the canonical reaction is to mark the peer for a checkpoint resync and do
-// the work on the next Tick.
-type OutboxShedHandler interface {
-	HandleOutboxShed(peer int, dropped int)
-}
-
 // Config describes the transport identity of one node.
 type Config struct {
 	// Index is this node's unique index within Peers.
@@ -116,14 +105,6 @@ type Config struct {
 	Net *netsim.Network
 	// TickInterval is the Handler.Tick cadence.
 	TickInterval time.Duration
-	// OutboxLimit bounds each per-peer outbox to this many staged messages;
-	// staging past the cap sheds the oldest staged message (a slow or
-	// partitioned peer must not let unflushed updates grow without bound).
-	// Sheds are counted per peer (core_outbox_sheds_total) and reported to
-	// handlers implementing OutboxShedHandler, whose job is to resync the
-	// peer from a checkpoint since its update stream now has a gap. Zero
-	// means unbounded — the historical behaviour.
-	OutboxLimit int
 	// Metrics, when non-nil, receives the runtime's transport instruments
 	// (outbox depth, flush batch shape, peer-link failures), labelled by
 	// Addr. Observational only: nothing in the runtime reads them back.
@@ -205,7 +186,7 @@ func NewNode(cfg Config, h Handler) (*Node, error) {
 			continue
 		}
 		n.peerIdx = append(n.peerIdx, idx)
-		n.outboxes[idx] = &outbox{limit: cfg.OutboxLimit}
+		n.outboxes[idx] = &outbox{}
 	}
 	sort.Ints(n.peerIdx)
 	if reg := cfg.Metrics; reg != nil {
@@ -219,8 +200,6 @@ func NewNode(cfg Config, h Handler) (*Node, error) {
 		n.mPeerReplies = reg.Counter("core_peer_replies_total"+node, metrics.Timing)
 		for _, idx := range n.peerIdx {
 			n.outboxes[idx].depth = reg.Gauge(fmt.Sprintf("core_outbox_depth{node=%q,peer=\"%d\"}", cfg.Addr, idx))
-			n.outboxes[idx].sheds = reg.Counter(
-				fmt.Sprintf("core_outbox_sheds_total{node=%q,peer=\"%d\"}", cfg.Addr, idx), metrics.Timing)
 		}
 	}
 	return n, nil
@@ -484,11 +463,6 @@ func (n *Node) Flush() {
 			ob.putBack(batch)
 		}
 		ob.sendMu.Unlock()
-		if shed := ob.takeShed(); shed > 0 {
-			if h, ok := n.h.(OutboxShedHandler); ok {
-				h.HandleOutboxShed(idx, shed)
-			}
-		}
 	}
 }
 
@@ -603,46 +577,18 @@ type outbox struct {
 	mu     sync.Mutex
 	staged [][]byte
 	spare  [][]byte
-	// limit bounds len(staged); staging past it sheds the oldest message
-	// (zero = unbounded). shed counts drops since the last takeShed.
-	limit int
-	shed  int
 	// depth mirrors len(staged) for observers (nil when metrics are off).
 	// Written after the staging lock is released: the gauge is a live
 	// reading for dashboards, not a synchronized value.
 	depth *metrics.Gauge
-	sheds *metrics.Counter
 }
 
 func (o *outbox) stage(raw []byte) {
 	o.mu.Lock()
-	dropped := 0
-	if o.limit > 0 && len(o.staged) >= o.limit {
-		// Shed the oldest staged message: the newest carry the freshest
-		// state, and the peer gets a checkpoint resync for the gap anyway.
-		dropped = len(o.staged) - o.limit + 1
-		copy(o.staged, o.staged[dropped:])
-		clear(o.staged[o.limit-1:])
-		o.staged = o.staged[:o.limit-1]
-		o.shed += dropped
-	}
 	o.staged = append(o.staged, raw)
 	d := len(o.staged)
 	o.mu.Unlock()
 	o.depth.Set(int64(d))
-	if dropped > 0 {
-		o.sheds.Add(uint64(dropped))
-	}
-}
-
-// takeShed returns and clears the count of messages shed since the last
-// call — the per-flush notification quantum for OutboxShedHandler.
-func (o *outbox) takeShed() int {
-	o.mu.Lock()
-	s := o.shed
-	o.shed = 0
-	o.mu.Unlock()
-	return s
 }
 
 // take removes and returns the staged batch, or nil when the outbox is

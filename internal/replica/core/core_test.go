@@ -434,92 +434,6 @@ func TestPeerReaderShutdownRace(t *testing.T) {
 	n0.Stop() // with readers mid-drain: must close their conns and terminate
 }
 
-// shedHandler is an echoHandler that also records OutboxShedHandler
-// notifications.
-type shedHandler struct {
-	echoHandler
-	shedPeers map[int]int
-}
-
-func (h *shedHandler) HandleOutboxShed(peer int, dropped int) {
-	h.mu.Lock()
-	if h.shedPeers == nil {
-		h.shedPeers = make(map[int]int)
-	}
-	h.shedPeers[peer] += dropped
-	h.mu.Unlock()
-}
-
-func (h *shedHandler) shedFor(peer int) int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.shedPeers[peer]
-}
-
-// TestOutboxLimitShedsOldest: with OutboxLimit set, staging past the bound
-// sheds the oldest staged messages, the flush delivers only the newest
-// limit-many in order, and the handler hears about the drop count exactly
-// once, from Flush.
-func TestOutboxLimitShedsOldest(t *testing.T) {
-	net := netsim.NewNetwork()
-	peers := twoPeers()
-	h0 := &shedHandler{}
-	n0, err := NewNode(Config{
-		Index:        0,
-		Addr:         peers[0],
-		Peers:        peers,
-		Net:          net,
-		TickInterval: time.Hour, // keep the timer loop from flushing early
-		OutboxLimit:  4,
-	}, h0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h0.node = n0
-	if err := n0.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(n0.Stop)
-	_, h1 := startNode(t, net, 1, peers)
-
-	for i := 0; i < 6; i++ {
-		n0.SendTo(1, []byte(fmt.Sprintf("m%d", i)))
-	}
-	if got := h0.shedFor(1); got != 0 {
-		t.Fatalf("handler notified from stage (%d) — notification must come from Flush", got)
-	}
-	n0.Flush()
-	if got := h0.shedFor(1); got != 2 {
-		t.Fatalf("shed notification = %d dropped, want 2", got)
-	}
-
-	want := []string{"m2", "m3", "m4", "m5"}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		got := h1.received()
-		if len(got) == len(want) {
-			for i, m := range got {
-				if string(m) != want[i] {
-					t.Fatalf("message %d = %q, want %q", i, m, want[i])
-				}
-			}
-			break
-		}
-		if len(got) > len(want) {
-			t.Fatalf("peer received %d messages, want %d", len(got), len(want))
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("peer received %d/%d surviving messages", len(got), len(want))
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// A second flush with nothing new shed must not re-notify.
-	n0.Flush()
-	if got := h0.shedFor(1); got != 2 {
-		t.Fatalf("shed count after idle flush = %d, want 2", got)
-	}
-}
-
 // TestTicksFire: the timer loop drives Handler.Tick.
 func TestTicksFire(t *testing.T) {
 	net := netsim.NewNetwork()

@@ -182,13 +182,6 @@ type Config struct {
 	// checkpoint. Zero selects the default (256); negative retains nothing,
 	// forcing every resync onto the checkpoint path.
 	UpdateWindow int
-	// OutboxLimit bounds each per-peer outbox (replica/core) to the most
-	// recent k staged messages: staging past the bound sheds the oldest, and
-	// the runtime's shed notification makes this replica answer with a
-	// checkpoint resync for the affected backup — a slow or partitioned
-	// backup costs bounded memory instead of an unbounded staged backlog.
-	// Zero is unbounded (the historical behaviour).
-	OutboxLimit int
 	// Store persists the update stream: deltas are journaled as records and
 	// checkpoints overwrite the snapshot slot, so a replica rebuilt over a
 	// non-empty store recovers its state from disk before protocol catch-up
@@ -287,13 +280,6 @@ type Replica struct {
 	resyncing bool // a nack is outstanding; suppress duplicates
 	nackedAt  time.Time
 
-	// shedMu guards shedPeers — peers whose outbox shed staged updates
-	// since the last tick. Deliberately its own small lock, never nested
-	// inside mu or execMu: HandleOutboxShed arrives from the runtime's
-	// flush path, which can run while a handler still holds both.
-	shedMu    sync.Mutex
-	shedPeers map[int]bool
-
 	// Instruments (nil no-ops when Config.Metrics is unset). Observational
 	// only: nothing below feeds back into a protocol decision.
 	mDeltas       *metrics.Counter // delta updates executed/applied
@@ -346,7 +332,6 @@ func New(cfg Config) (*Replica, error) {
 		stallWait:  make(map[int]int),
 		stallLimit: int(cfg.HeartbeatTimeout/cfg.HeartbeatInterval) + 1,
 		updFrom:    streamUnknown,
-		shedPeers:  make(map[int]bool),
 	}
 	for idx := range cfg.Peers {
 		if idx != cfg.Index {
@@ -387,7 +372,6 @@ func New(cfg Config) (*Replica, error) {
 		Peers:        cfg.Peers,
 		Net:          cfg.Net,
 		TickInterval: cfg.HeartbeatInterval,
-		OutboxLimit:  cfg.OutboxLimit,
 		Metrics:      cfg.Metrics,
 	}, r)
 	if err != nil {
@@ -484,7 +468,7 @@ func (r *Replica) Crash() { r.node.Crash() }
 //
 // This is the node-local restart primitive (a process supervisor's view);
 // fortress-level fault recovery instead rebuilds the replica from a live
-// peer's snapshot (fortress.RestartServer), trading retained local state
+// peer's snapshot (fortress.System.Restart), trading retained local state
 // for guaranteed freshness.
 func (r *Replica) Restart() error { return r.node.Restart() }
 
@@ -1047,32 +1031,6 @@ func (r *Replica) handleNack(m wireMsg) {
 	r.resyncPeer(m.From, m.Seq, m.Stream)
 }
 
-// HandleOutboxShed implements core.OutboxShedHandler: the runtime's bounded
-// outbox dropped the oldest staged messages for peer, so whatever update
-// suffix the backup observes next has a gap at worst. The peer is only
-// marked here — the checkpoint resync runs on the next Tick. Resyncing
-// synchronously would deadlock: the notification arrives from Flush, which
-// can run while this replica's own handler still holds execMu.
-func (r *Replica) HandleOutboxShed(peer int, dropped int) {
-	r.shedMu.Lock()
-	r.shedPeers[peer] = true
-	r.shedMu.Unlock()
-}
-
-// takeShedPeers returns and clears the peers marked by HandleOutboxShed
-// since the last tick, in ascending order.
-func (r *Replica) takeShedPeers() []int {
-	r.shedMu.Lock()
-	peers := make([]int, 0, len(r.shedPeers))
-	for p := range r.shedPeers {
-		peers = append(peers, p)
-	}
-	clear(r.shedPeers)
-	r.shedMu.Unlock()
-	sort.Ints(peers)
-	return peers
-}
-
 // resyncPeer brings one backup back onto the update stream: a backup
 // confirmed on this primary's own chain (stream) whose gap fits the
 // retained window gets the missing suffix retransmitted delta-by-delta;
@@ -1228,13 +1186,6 @@ func (r *Replica) Tick() {
 		r.node.Broadcast(encode(wireMsg{Type: msgHeartbeat, From: r.cfg.Index, Seq: seq}))
 		for _, s := range stalled {
 			r.resyncPeer(s.peer, s.from, s.stream)
-		}
-		// Backups whose outbox shed updates since the last tick have a gap
-		// nothing retained can fill deterministically: anchor each with a
-		// full checkpoint. (A backup's own sheds — dropped acks — clear here
-		// too; the primary's stall detector already covers lost acks.)
-		for _, p := range r.takeShedPeers() {
-			r.resyncPeer(p, 0, streamUnknown)
 		}
 	case RoleBackup:
 		if stale {

@@ -621,55 +621,6 @@ func TestDeltaCapableFastPathConverges(t *testing.T) {
 	}
 }
 
-// TestOutboxShedTriggersCheckpointResync pins the backpressure contract:
-// with a tiny per-peer outbox bound, a resync burst wider than the bound
-// sheds its oldest deltas — and the runtime's shed notification makes the
-// primary anchor the backup with a full checkpoint on the next tick, so
-// replication converges instead of wedging on the gap the shed opened.
-func TestOutboxShedTriggersCheckpointResync(t *testing.T) {
-	net := netsim.NewNetwork()
-	peers := map[int]string{0: "shed-0", 1: "shed-1"}
-	replicas := make([]*Replica, len(peers))
-	for i := range replicas {
-		keys, err := sig.NewKeyPair()
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := New(Config{
-			Index: i, Addr: peers[i], Peers: peers, InitialPrimary: 0,
-			Service: service.NewKV(), Keys: keys, Net: net,
-			HeartbeatInterval: hbInterval, HeartbeatTimeout: hbTimeout,
-			OutboxLimit: 2,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		replicas[i] = r
-		t.Cleanup(r.Stop)
-	}
-	if _, err := Request(net, "c", replicas[0].Addr(), "w0", kvPut(t, "k", "v0"), reqTimeout); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, func() bool { return replicas[1].Seq() == 1 })
-
-	// Open a gap far wider than the outbox bound while the backup is down:
-	// the nack-driven delta retransmission can never fit through intact.
-	replicas[1].Crash()
-	for i := 1; i <= 8; i++ {
-		id := fmt.Sprintf("w%d", i)
-		if _, err := Request(net, "c", replicas[0].Addr(), id, kvPut(t, "k", "v"+id), reqTimeout); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := replicas[1].Restart(); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, func() bool { return replicas[1].Seq() == replicas[0].Seq() })
-	if jumps := replicas[1].CheckpointJumps(); jumps == 0 {
-		t.Error("backup converged without a checkpoint anchor — an 8-delta suffix cannot fit a 2-deep outbox")
-	}
-}
-
 // TestRejoinResetsAckStallClock pins the restart half of the ack-stall
 // detector: frontier observations from before a crash describe a link that
 // no longer exists, so Rejoin must clear the stall clock (last-seen acks,
