@@ -202,13 +202,17 @@ func TestInjectorValidation(t *testing.T) {
 	if _, err := faults.NewInjector(sched, sys, xrand.New(1)); err != nil {
 		t.Fatalf("drop-rate schedule with rng rejected: %v", err)
 	}
-	bad := faults.Schedule{}.Append(faults.Crash(0, fortress.Server(99)))
-	inj, err := faults.NewInjector(bad, sys, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := inj.Advance(0); err == nil {
-		t.Fatal("crash of nonexistent server did not error")
+	for name, e := range map[string]faults.Event{
+		"crash of nonexistent server": faults.Crash(0, fortress.Server(99)),
+		"crash without a target":      {Kind: faults.EvCrash},
+	} {
+		inj, err := faults.NewInjector(faults.Schedule{}.Append(e), sys, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := inj.Advance(0); err == nil {
+			t.Errorf("%s did not error", name)
+		}
 	}
 }
 

@@ -502,12 +502,14 @@ func (s *System) Crash(t Target) error {
 // peer's snapshot (the reconnect-and-resync idiom of a supervised
 // process), a proxy under its current key.
 //
-// Each server's donor snapshot is taken after the servers below it were
-// rebuilt. So after a blackout, durable stores let each server recover its
-// own state from disk — there is no live donor — while with the in-memory
-// default the first server comes back empty and donates its empty state
-// to the rest: the cluster converges, the data is gone. That asymmetry is
-// the headline the blackout preset exists to show.
+// Each server's donor snapshot is taken after it left the down set and
+// after the servers below it were rebuilt. After a blackout, durable
+// stores let each server recover its own state from disk instead, since
+// no peer is live, and an in-memory SMR tier restarts empty: its first
+// server finds no live donor and the rest follow it. An in-memory PB
+// server that is the lowest of its group is its own donor, though: a
+// fault crash leaves its service state in memory, so it comes back with
+// its pre-crash state and passes that on.
 func (s *System) Restart(t Target) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
